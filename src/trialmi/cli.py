@@ -24,23 +24,20 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import __version__
-from .core import (ADMIN_WITHDRAWAL, OTHER_WITHDRAWAL, ScenarioLabel, SubjectRecord,
-                   TrialDataset, VisitGrid, validate_dataset)
+from .core import (ADMIN_WITHDRAWAL, OTHER_WITHDRAWAL, SubjectRecord, TrialDataset,
+                   VisitGrid, validate_dataset)
 from .datagen import GenParams, generate_truth, setting_preset
 from .errors import ConfigError, TrialMIError, ValidationError
-from .estimation import estimate_matrix, pool_rubin
-from .imputation import METHODS, ImputationConfig, impute_matrix
-from .simharness import ESTIMANDS, SimPlan, run_plan
+from .imputation import METHODS, ImputationConfig
+from .imputation import impute_matrix  # noqa: F401 - re-exported
+from .simharness import SimPlan, analyze_dataset, run_plan
 
 WORKERS_ENV = "TRIALMI_WORKERS"
 
 _PLAN_KEYS = {"preset", "n_replicates", "methods", "seed", "workers",
               "truth_n_datasets", "ci_level"}
-_IMPUTATION_KEYS = {"m", "survival_kind", "min_donor_pool", "mar_conditioning",
-                    "gate_probability_override"}
+_IMPUTATION_KEYS = {f.name for f in dataclasses.fields(ImputationConfig)} - {"method", "seed"}
 _GEN_KEYS = {f.name for f in dataclasses.fields(GenParams)}
 
 
@@ -82,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ana = sub.add_parser("analyze", help="apply the methods to a dataset CSV")
     ana.add_argument("dataset", type=Path, help="subject-level CSV")
     ana.add_argument("--methods", type=str, default=",".join(METHODS))
-    ana.add_argument("--m-imputations", type=int, default=100)
+    ana.add_argument("--m-imputations", type=int, help="imputations per method")
     ana.add_argument("--seed", type=int, default=0)
     ana.add_argument("--level", type=float, default=0.95)
     ana.add_argument("--config", type=Path, help="JSON config file (imputation section)")
@@ -155,6 +152,21 @@ def _pick(args_value, config: dict, section: str, key: str, default):
     return default
 
 
+def _imputation_config(config: dict, m_flag: Optional[int]) -> ImputationConfig:
+    """The imputation settings: --m-imputations, else the config's imputation
+    section, else the ImputationConfig defaults. Method and seed are set per
+    run."""
+    values = {k: v for k, v in config.get("imputation", {}).items() if v is not None}
+    if m_flag is not None:
+        values["m"] = m_flag
+    return ImputationConfig(method=METHODS[0], **values)
+
+
+def _imputation_identity(cfg: ImputationConfig) -> dict:
+    """Every imputation setting, for the manifest identity."""
+    return {k: v for k, v in dataclasses.asdict(cfg).items() if k in _IMPUTATION_KEYS}
+
+
 def _parse_methods(text: Optional[str], config: dict) -> tuple[str, ...]:
     if text is None:
         cfg = config.get("plan", {}).get("methods")
@@ -209,7 +221,7 @@ def _write_truth_csv(out_dir: Path, manifest_id: str, truth) -> None:
 
 
 # ---------------------------------------------------------------------------
-# dataset CSV ingestion / export
+# dataset CSV ingestion
 
 
 def _parse_grid_columns(header: list[str]) -> tuple[list[int], VisitGrid]:
@@ -291,25 +303,6 @@ def read_dataset_csv(path: Path) -> TrialDataset:
     return TrialDataset(grid=grid, subjects=tuple(subjects), provenance=f"ingested {path}")
 
 
-def write_dataset_csv(dataset: TrialDataset, path: Path) -> None:
-    """Lossless subject-level export (floats via repr round-trip)."""
-    header = (["id", "arm", "baseline"] + [f"y{t:g}" for t in dataset.grid.times]
-              + ["disc_week", "withdraw_week", "withdraw_type"])
-    type_text = {ADMIN_WITHDRAWAL: "admin", OTHER_WITHDRAWAL: "other", None: ""}
-
-    def cell(v) -> str:
-        return "" if v is None else repr(float(v))
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for s in dataset.subjects:
-            writer.writerow([s.id, s.arm, repr(float(s.baseline))]
-                            + [cell(y) for y in s.outcomes]
-                            + [cell(s.disc_time), cell(s.withdraw_time),
-                               type_text[s.withdraw_type]])
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -322,15 +315,11 @@ def cmd_simulate(args) -> int:
         params=params,
         n_replicates=int(_pick(args.reps, config, "plan", "n_replicates", 100)),
         methods=methods,
-        m_imputations=int(_pick(args.m_imputations, config, "imputation", "m", 100)),
+        imputation=_imputation_config(config, args.m_imputations),
         seed=int(_pick(args.seed, config, "plan", "seed", 0)),
         workers=_workers(args, config),
         truth_n_datasets=int(_pick(args.truth_datasets, config, "plan", "truth_n_datasets", 20000)),
         ci_level=float(_pick(args.level, config, "plan", "ci_level", 0.95)),
-        survival_kind=_pick(None, config, "imputation", "survival_kind", "proportional_hazards"),
-        min_donor_pool=int(_pick(None, config, "imputation", "min_donor_pool", 12)),
-        mar_conditioning=_pick(None, config, "imputation", "mar_conditioning", "monotone-sequential"),
-        gate_probability_override=_pick(None, config, "imputation", "gate_probability_override", None),
     )
     table = run_plan(plan)
 
@@ -338,11 +327,9 @@ def cmd_simulate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     identity = {"command": "simulate", "preset": preset, "params": _params_dict(params),
                 "plan": {"n_replicates": plan.n_replicates, "methods": list(plan.methods),
-                         "m_imputations": plan.m_imputations, "seed": plan.seed,
-                         "truth_n_datasets": plan.truth_n_datasets, "ci_level": plan.ci_level,
-                         "survival_kind": plan.survival_kind,
-                         "min_donor_pool": plan.min_donor_pool,
-                         "mar_conditioning": plan.mar_conditioning}}
+                         "seed": plan.seed, "truth_n_datasets": plan.truth_n_datasets,
+                         "ci_level": plan.ci_level,
+                         "imputation": _imputation_identity(plan.imputation)}}
     mid = _write_manifest(out_dir, identity, {"workers": plan.workers,
                                               "n_excluded": table.n_excluded})
     _write_csv(out_dir / "metrics.csv", mid, ["method", "estimand", "BIAS", "ESE", "ASE", "CP"],
@@ -383,39 +370,18 @@ def cmd_analyze(args) -> int:
             print(f"error: subject {v.subject_id}: {v.message}", file=sys.stderr)
         return 1
     methods = _parse_methods(args.methods, config)
-    arms = np.array([s.arm for s in dataset.subjects])
-    n0 = int((arms == 0).sum())
-    n1 = int((arms == 1).sum())
-    com_df = {"control": n0 - 1, "treatment": n1 - 1, "difference": n0 + n1 - 2}
-
-    rows = []
-    for method in methods:
-        cfg = ImputationConfig(
-            method=method,
-            m=int(_pick(args.m_imputations, config, "imputation", "m", 100)),
-            seed=args.seed,
-            survival_kind=_pick(None, config, "imputation", "survival_kind", "proportional_hazards"),
-            min_donor_pool=int(_pick(None, config, "imputation", "min_donor_pool", 12)),
-            mar_conditioning=_pick(None, config, "imputation", "mar_conditioning", "monotone-sequential"),
-            gate_probability_override=_pick(None, config, "imputation",
-                                            "gate_probability_override", None),
-        )
-        res = impute_matrix(dataset, cfg)
-        est = estimate_matrix(arms, res.endpoints)
-        for estimand in ESTIMANDS:
-            key = estimand if estimand == "difference" else f"mean_{estimand}"
-            vkey = "var_difference" if estimand == "difference" else f"var_{estimand}"
-            pooled = pool_rubin(list(zip(est[key], est[vkey])), level=args.level,
-                                com_df=com_df[estimand])
-            rows.append([method, estimand, _fmt(pooled.point), _fmt(pooled.total ** 0.5),
-                         _fmt(pooled.ci_low), _fmt(pooled.ci_high)])
+    imputation = _imputation_config(config, args.m_imputations)
+    configs = [dataclasses.replace(imputation, method=m, seed=args.seed) for m in methods]
+    rows = [[method, estimand, _fmt(p.point), _fmt(p.total ** 0.5), _fmt(p.ci_low), _fmt(p.ci_high)]
+            for method, by_estimand in analyze_dataset(dataset, configs, args.level).items()
+            for estimand, p in by_estimand.items()]
 
     out_dir = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
     identity = {"command": "analyze",
                 "dataset_sha256": hashlib.sha256(args.dataset.read_bytes()).hexdigest(),
-                "methods": list(methods), "m_imputations": int(args.m_imputations),
-                "seed": args.seed, "ci_level": args.level}
+                "methods": list(methods), "seed": args.seed, "ci_level": args.level,
+                "imputation": _imputation_identity(imputation)}
     mid = _write_manifest(out_dir, identity, {})
     _write_csv(out_dir / "estimates.csv", mid,
                ["method", "estimand", "estimate", "se", "ci_low", "ci_high"], rows)

@@ -21,9 +21,9 @@ wherever their donor assignments agree.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+import numbers
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -66,6 +66,8 @@ class ImputationConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
+        if not all(isinstance(v, numbers.Integral) for v in (self.m, self.seed, self.min_donor_pool)):
+            raise ConfigError("m, seed and min_donor_pool must be integers")
         if self.m < 2:
             raise ConfigError("m (imputation count) must be >= 2")
         if self.min_donor_pool < 2:
@@ -82,13 +84,11 @@ class ImputationConfig:
 class NormalImputationModel:
     """Least-squares donor fit with the pieces needed for proper-MI draws."""
 
-    beta: np.ndarray
-    cov_factor: np.ndarray  # L with L @ L.T = (W'W)^-1
-    sigma2: float           # floored residual-variance estimate
+    beta: np.ndarray                # (p,), or (m, p) for a per-round fit
+    cov_factor: np.ndarray          # L with L @ L.T = (W'W)^-1
+    sigma2: float | np.ndarray      # floored residual-variance estimate, (m,) per round
     df: int
     n_donors: int
-    columns: tuple[str, ...]
-    pooled_arms: bool = False
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,6 @@ class _Arrays:
     scen: np.ndarray        # int codes
     last_obs: np.ndarray    # last observed pre-endpoint visit index, -1 if none
     withdraw: np.ndarray    # nan where absent
-    ids: tuple[str, ...]
 
 
 def _extract(dataset: TrialDataset) -> _Arrays:
@@ -145,7 +144,6 @@ def _extract(dataset: TrialDataset) -> _Arrays:
     scen = np.empty(n, dtype=int)
     withdraw = np.full(n, np.nan)
     last_obs = np.full(n, -1, dtype=int)
-    ids = []
     for j, subject in enumerate(dataset.subjects):
         arm[j] = subject.arm
         x[j] = subject.baseline
@@ -158,21 +156,24 @@ def _extract(dataset: TrialDataset) -> _Arrays:
         obs = np.flatnonzero(~np.isnan(y[j, : k - 1]))
         if obs.size:
             last_obs[j] = int(obs[-1])
-        ids.append(subject.id)
     return _Arrays(n=n, duration=grid.duration, arm=arm, x=x, y=y, scen=scen,
-                   last_obs=last_obs, withdraw=withdraw, ids=tuple(ids))
+                   last_obs=last_obs, withdraw=withdraw)
 
 
 def fit_donor_model(design: np.ndarray, endpoints: np.ndarray, *,
-                    columns: Sequence[str] = (), pooled_arms: bool = False,
                     min_donor_pool: int = 2) -> NormalImputationModel:
     """Least-squares fit of endpoints on the design matrix, with the posterior
-    factors for proper multiple-imputation draws."""
+    factors for proper multiple-imputation draws.
+
+    ``endpoints`` is one vector (n,) or one column per round (n, m); the
+    latter gives per-round coefficients (m, p) and residual variances (m,)
+    that share the design's covariance factor.
+    """
     w = np.asarray(design, dtype=float)
     yv = np.asarray(endpoints, dtype=float)
-    if w.ndim != 2 or w.shape[0] != yv.shape[0]:
+    if w.ndim != 2 or yv.ndim not in (1, 2) or w.shape[0] != yv.shape[0]:
         raise ImputationError("design and endpoint shapes disagree")
-    n, p = w.shape
+    n = w.shape[0]
     if n < min_donor_pool:
         raise ImputationError(f"donor pool of {n} below threshold {min_donor_pool}")
     beta, _, rank, _ = np.linalg.lstsq(w, yv, rcond=None)
@@ -180,20 +181,23 @@ def fit_donor_model(design: np.ndarray, endpoints: np.ndarray, *,
     if df < 1:
         raise ImputationError(f"donor pool of {n} leaves no residual degrees of freedom")
     resid = yv - w @ beta
-    sigma2 = max(float(resid @ resid) / df, VARIANCE_FLOOR)
+    sigma2 = np.maximum(np.vecdot(resid, resid, axis=0) / df, VARIANCE_FLOOR)
     cov = np.linalg.pinv(w.T @ w)
     vals, vecs = np.linalg.eigh((cov + cov.T) / 2.0)
     factor = vecs * np.sqrt(np.clip(vals, 0.0, None))
-    return NormalImputationModel(beta=beta, cov_factor=factor, sigma2=sigma2, df=df,
-                                 n_donors=n, columns=tuple(columns), pooled_arms=pooled_arms)
+    return NormalImputationModel(beta=beta.T, cov_factor=factor, sigma2=sigma2, df=df, n_donors=n)
 
 
 def posterior_draws(model: NormalImputationModel, rng: np.random.Generator, m: int):
-    """m proper-MI parameter draws: residual SDs (m,) and coefficients (m, p)."""
+    """m proper-MI parameter draws: residual SDs (m,) and coefficients (m, p).
+
+    A per-round model (beta of shape (m, p)) gives round i a draw around its
+    own fit.
+    """
     chi2 = np.maximum(rng.chisquare(model.df, size=m), 1e-300)
     sigma2 = np.maximum(model.df * model.sigma2 / chi2, VARIANCE_FLOOR)
     sigma = np.sqrt(sigma2)
-    u = rng.standard_normal((m, model.beta.size))
+    u = rng.standard_normal((m, model.beta.shape[-1]))
     beta = model.beta + sigma[:, None] * (u @ model.cov_factor.T)
     return sigma, beta
 
@@ -216,66 +220,41 @@ def _build_design(arr: _Arrays, rows: np.ndarray, visit: int, pooled: bool) -> n
     return np.column_stack(cols)
 
 
-def _column_names(visit: int, pooled: bool) -> tuple[str, ...]:
-    names = ["const", "baseline"]
-    if visit >= 0:
-        names.append(f"visit_{visit}")
-    if pooled:
-        names.append("arm")
-    return tuple(names)
-
-
-def _group_draws(arr: _Arrays, donor_scen: int, purpose: int, visit: int, arm: int,
-                 cfg: ImputationConfig, seed: int, replicate: int,
-                 cache: dict, fallback: set[str]):
-    """Fitted donor model plus its m parameter draws for one (purpose, arm, visit)
-    donor group, pooling arms (with an arm covariate) when the pool is short."""
-    donors = _donor_rows(arr, donor_scen, arm, visit)
-    pooled = donors.size < cfg.min_donor_pool
-    if pooled:
-        donors = np.concatenate([_donor_rows(arr, donor_scen, 0, visit),
-                                 _donor_rows(arr, donor_scen, 1, visit)])
-        label = "adherent" if donor_scen == _S1 else "retrieved-dropout"
-        fallback.add(f"{label} donors pooled across arms"
-                     + (f" (conditioning visit {visit})" if visit >= 0 else ""))
-    scope = _ARM_POOLED if pooled else arm
-    key = (purpose, scope, visit)
-    if key in cache:
-        return cache[key]
-    design = _build_design(arr, donors, visit, pooled)
-    try:
-        model = fit_donor_model(design, arr.y[donors, -1], columns=_column_names(visit, pooled),
-                                pooled_arms=pooled, min_donor_pool=cfg.min_donor_pool)
-    except ImputationError as exc:
-        raise ImputationError(f"donor pool exhausted even after pooling arms: {exc}") from exc
-    rng = substream(seed, IMPUTE_NS, replicate, purpose, scope, visit + 1)
-    draws = posterior_draws(model, rng, cfg.m)
-    cache[key] = (model, draws)
-    return cache[key]
-
-
-def _target_row(arr: _Arrays, j: int, visit: int, pooled: bool) -> np.ndarray:
-    cols = [1.0, arr.x[j]]
-    if visit >= 0:
-        cols.append(arr.y[j, visit])
-    if pooled:
-        cols.append(float(arr.arm[j]))
-    return np.asarray(cols)
-
-
 def _value_draws(arr: _Arrays, targets: np.ndarray, donor_scen: int, purpose: int,
-                 per_visit: bool, cfg: ImputationConfig, seed: int, replicate: int,
-                 z: np.ndarray, fallback: set[str]) -> dict[int, np.ndarray]:
-    """Posterior-predictive endpoint draws for each target subject (m per target)."""
-    values: dict[int, np.ndarray] = {}
-    cache: dict = {}
-    for j in targets:
-        visit = int(arr.last_obs[j]) if per_visit else -1
-        model, (sigma, beta) = _group_draws(arr, donor_scen, purpose, visit, int(arr.arm[j]),
-                                            cfg, seed, replicate, cache, fallback)
-        row = _target_row(arr, int(j), visit, model.pooled_arms)
-        values[int(j)] = beta @ row + sigma * z[:, j]
-    return values
+                 per_visit: bool, cfg: ImputationConfig, replicate: int,
+                 z: np.ndarray, fallback: set[str]) -> np.ndarray:
+    """Posterior-predictive endpoint draws, (m, n) with the target columns filled.
+
+    Targets are grouped by (arm, conditioning visit). Each (arm, visit) donor
+    model is fit and drawn once; a short donor pool borrows the other arm,
+    with an arm covariate, and that pooled fit serves both arms.
+    """
+    draws = np.full(z.shape, np.nan)
+    visits = arr.last_obs[targets] if per_visit else np.full(targets.size, -1)
+    fits: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+    for arm, visit in sorted(set(zip(arr.arm[targets].tolist(), visits.tolist()))):
+        group = targets[(arr.arm[targets] == arm) & (visits == visit)]
+        donors = _donor_rows(arr, donor_scen, arm, visit)
+        pooled = donors.size < cfg.min_donor_pool
+        if pooled:
+            donors = np.concatenate([_donor_rows(arr, donor_scen, 0, visit),
+                                     _donor_rows(arr, donor_scen, 1, visit)])
+            label = "adherent" if donor_scen == _S1 else "retrieved-dropout"
+            fallback.add(f"{label} donors pooled across arms"
+                         + (f" (conditioning visit {visit})" if visit >= 0 else ""))
+        scope = _ARM_POOLED if pooled else arm
+        if (scope, visit) not in fits:
+            try:
+                model = fit_donor_model(_build_design(arr, donors, visit, pooled),
+                                        arr.y[donors, -1], min_donor_pool=cfg.min_donor_pool)
+            except ImputationError as exc:
+                raise ImputationError(f"donor pool exhausted even after pooling arms: {exc}") from exc
+            rng = substream(cfg.seed, IMPUTE_NS, replicate, purpose, scope, visit + 1)
+            fits[(scope, visit)] = posterior_draws(model, rng, cfg.m)
+        sigma, beta = fits[(scope, visit)]
+        for j, row in zip(group, _build_design(arr, group, visit, pooled)):
+            draws[:, j] = beta @ row + sigma * z[:, j]
+    return draws
 
 
 def _gate_probabilities(dataset: TrialDataset, arr: _Arrays, s52_idx: np.ndarray,
@@ -293,107 +272,67 @@ def _gate_probabilities(dataset: TrialDataset, arr: _Arrays, s52_idx: np.ndarray
     return out
 
 
-def _pooled_donor_values(arr: _Arrays, s52_idx: np.ndarray, out: np.ndarray,
-                         cfg: ImputationConfig, seed: int, replicate: int,
-                         z: np.ndarray, fallback: set[str]) -> dict[int, np.ndarray]:
+def _pooled_donor_values(arr: _Arrays, targets: np.ndarray, out: np.ndarray,
+                         cfg: ImputationConfig, replicate: int,
+                         z: np.ndarray, fallback: set[str]) -> np.ndarray:
     """Method D: per round, refit endpoint-on-baseline using every non-withdrawn
-    subject's (observed or just-imputed) endpoint, then draw for the withdrawn."""
-    values: dict[int, np.ndarray] = {}
-    m = out.shape[0]
+    subject's (observed or just-imputed) endpoint, then draw for the withdrawn.
+    Returns (m, n) draws with the target columns filled."""
+    draws = np.full(out.shape, np.nan)
     for arm in (0, 1):
-        t_arm = s52_idx[arr.arm[s52_idx] == arm]
-        if not t_arm.size:
+        group = targets[arr.arm[targets] == arm]
+        if not group.size:
             continue
         donors = np.flatnonzero((arr.scen != _S52) & (arr.arm == arm))
         pooled = donors.size < cfg.min_donor_pool
         if pooled:
             donors = np.flatnonzero(arr.scen != _S52)
             fallback.add("endpoint donors pooled across arms")
-        if donors.size < cfg.min_donor_pool:
-            raise ImputationError("no usable endpoint donors for pooled imputation")
-        w = _build_design(arr, donors, -1, pooled)
-        p = w.shape[1]
-        rank = int(np.linalg.matrix_rank(w))
-        df = donors.size - rank
-        if df < 1:
-            raise ImputationError("pooled donor design leaves no residual degrees of freedom")
-        pinv = np.linalg.pinv(w)
-        cov = np.linalg.pinv(w.T @ w)
-        vals_, vecs = np.linalg.eigh((cov + cov.T) / 2.0)
-        factor = vecs * np.sqrt(np.clip(vals_, 0.0, None))
-        rng = substream(seed, IMPUTE_NS, replicate, PUR_POOL_PARAMS, _ARM_POOLED if pooled else arm)
-        chi2 = np.maximum(rng.chisquare(df, size=m), 1e-300)
-        u = rng.standard_normal((m, p))
-        y_rounds = out[:, donors]                       # (m, n_donors), complete by now
-        beta_hat = y_rounds @ pinv.T                    # (m, p)
-        rss = ((y_rounds - beta_hat @ w.T) ** 2).sum(axis=1)
-        sigma = np.sqrt(np.maximum(np.maximum(rss / df, VARIANCE_FLOOR) * df / chi2, VARIANCE_FLOOR))
-        beta = beta_hat + sigma[:, None] * (u @ factor.T)
-        rows = np.stack([_target_row(arr, int(j), -1, pooled) for j in t_arm])
-        preds = beta @ rows.T                           # (m, n_targets)
-        for col, j in enumerate(t_arm):
-            values[int(j)] = preds[:, col] + sigma * z[:, j]
-    return values
+        try:
+            model = fit_donor_model(_build_design(arr, donors, -1, pooled), out[:, donors].T,
+                                    min_donor_pool=cfg.min_donor_pool)
+        except ImputationError as exc:
+            raise ImputationError(f"no usable endpoint donors for pooled imputation: {exc}") from exc
+        rng = substream(cfg.seed, IMPUTE_NS, replicate, PUR_POOL_PARAMS, _ARM_POOLED if pooled else arm)
+        sigma, beta = posterior_draws(model, rng, cfg.m)
+        for j, row in zip(group, _build_design(arr, group, -1, pooled)):
+            draws[:, j] = beta @ row + sigma * z[:, j]
+    return draws
 
 
 def impute_matrix(dataset: TrialDataset, cfg: ImputationConfig, *, replicate: int = 0) -> ImputationResult:
     """All m imputation rounds as matrices; observed endpoints pass through."""
     arr = _extract(dataset)
     m, n = cfg.m, arr.n
-    seed = cfg.seed
-    z = substream(seed, IMPUTE_NS, replicate, PUR_NOISE).standard_normal((m, n))
+    z = substream(cfg.seed, IMPUTE_NS, replicate, PUR_NOISE).standard_normal((m, n))
     out = np.repeat(arr.y[None, :, -1], m, axis=0)
     prov = np.zeros((m, n), dtype=np.int8)
     fallback: set[str] = set()
 
-    s2_idx = np.flatnonzero(arr.scen == _S2)
-    s4_idx = np.flatnonzero(arr.scen == _S4)
-    s52_idx = np.flatnonzero(arr.scen == _S52)
-
-    mar_targets = [s2_idx]
-    rd_targets = [s4_idx]
-    if cfg.method == "A":
-        mar_targets.append(s52_idx)
-    elif cfg.method == "B":
-        rd_targets.append(s52_idx)
-    elif cfg.method == "C":
-        mar_targets.append(s52_idx)
-        rd_targets.append(s52_idx)
-
+    s2, s4, s52 = (np.flatnonzero(arr.scen == code) for code in (_S2, _S4, _S52))
+    # Withdrawn (S5.2) subjects take adherer draws under A, retrieved-dropout
+    # draws under B and either one, by their gate, under C. Under D they are
+    # drawn last, from a refit on everyone else's completed endpoints.
+    mar_targets = np.concatenate([s2, s52]) if cfg.method in ("A", "C") else s2
+    rd_targets = np.concatenate([s4, s52]) if cfg.method in ("B", "C") else s4
     per_visit = cfg.mar_conditioning == MONOTONE_SEQUENTIAL
-    mar_vals = _value_draws(arr, np.concatenate(mar_targets), _S1, PUR_MAR_PARAMS,
-                            per_visit, cfg, seed, replicate, z, fallback)
-    rd_vals = _value_draws(arr, np.concatenate(rd_targets), _S3, PUR_RD_PARAMS,
-                           False, cfg, seed, replicate, z, fallback)
+    mar = _value_draws(arr, mar_targets, _S1, PUR_MAR_PARAMS, per_visit, cfg, replicate, z, fallback)
+    rd = _value_draws(arr, rd_targets, _S3, PUR_RD_PARAMS, False, cfg, replicate, z, fallback)
+    out[:, s2], prov[:, s2] = mar[:, s2], MAR_ADHERER
+    out[:, s4], prov[:, s4] = rd[:, s4], RETRIEVED_DROPOUT
 
-    for j in s2_idx:
-        out[:, j] = mar_vals[j]
-        prov[:, j] = MAR_ADHERER
-    for j in s4_idx:
-        out[:, j] = rd_vals[j]
-        prov[:, j] = RETRIEVED_DROPOUT
-
-    if s52_idx.size:
-        if cfg.method == "A":
-            for j in s52_idx:
-                out[:, j] = mar_vals[j]
-                prov[:, j] = MAR_ADHERER
-        elif cfg.method == "B":
-            for j in s52_idx:
-                out[:, j] = rd_vals[j]
-                prov[:, j] = RETRIEVED_DROPOUT
-        elif cfg.method == "C":
-            p_hat = _gate_probabilities(dataset, arr, s52_idx, cfg)
-            gate_u = substream(seed, IMPUTE_NS, replicate, PUR_GATE).random((m, n))
-            for pos, j in enumerate(s52_idx):
-                gates = gate_u[:, j] < p_hat[pos]
-                out[:, j] = np.where(gates, rd_vals[j], mar_vals[j])
-                prov[:, j] = np.where(gates, GATED_RD, GATED_ADHERER)
-        else:
-            pooled_vals = _pooled_donor_values(arr, s52_idx, out, cfg, seed, replicate, z, fallback)
-            for j in s52_idx:
-                out[:, j] = pooled_vals[j]
-                prov[:, j] = POOLED
+    if cfg.method == "A":
+        out[:, s52], prov[:, s52] = mar[:, s52], MAR_ADHERER
+    elif cfg.method == "B":
+        out[:, s52], prov[:, s52] = rd[:, s52], RETRIEVED_DROPOUT
+    elif s52.size and cfg.method == "C":
+        p_hat = _gate_probabilities(dataset, arr, s52, cfg)
+        gates = substream(cfg.seed, IMPUTE_NS, replicate, PUR_GATE).random((m, n))[:, s52] < p_hat
+        out[:, s52] = np.where(gates, rd[:, s52], mar[:, s52])
+        prov[:, s52] = np.where(gates, GATED_RD, GATED_ADHERER)
+    elif s52.size and cfg.method == "D":
+        pooled = _pooled_donor_values(arr, s52, out, cfg, replicate, z, fallback)
+        out[:, s52], prov[:, s52] = pooled[:, s52], POOLED
 
     if np.isnan(out).any():
         raise ImputationError("imputation left missing endpoints behind")
@@ -404,61 +343,3 @@ def impute_matrix(dataset: TrialDataset, cfg: ImputationConfig, *, replicate: in
 def impute(dataset: TrialDataset, cfg: ImputationConfig, *, replicate: int = 0) -> list[CompletedDataset]:
     """m completed datasets under the configured method."""
     return impute_matrix(dataset, cfg, replicate=replicate).completed(dataset)
-
-
-def impute_method_a(dataset: TrialDataset, cfg: ImputationConfig) -> list[CompletedDataset]:
-    return impute(dataset, replace(cfg, method="A"))
-
-
-def impute_method_b(dataset: TrialDataset, cfg: ImputationConfig) -> list[CompletedDataset]:
-    return impute(dataset, replace(cfg, method="B"))
-
-
-def impute_method_c(dataset: TrialDataset, cfg: ImputationConfig) -> list[CompletedDataset]:
-    return impute(dataset, replace(cfg, method="C"))
-
-
-def impute_method_d(dataset: TrialDataset, cfg: ImputationConfig) -> list[CompletedDataset]:
-    return impute(dataset, replace(cfg, method="D"))
-
-
-def _wrapper_values(dataset: TrialDataset, arm: int, cfg: ImputationConfig, donor_scen: int,
-                    purpose: int, per_visit: bool, default_scens: tuple[int, ...],
-                    subject_ids: Optional[Sequence[str]], replicate: int) -> dict[str, np.ndarray]:
-    arr = _extract(dataset)
-    if subject_ids is None:
-        targets = np.flatnonzero(np.isin(arr.scen, default_scens) & (arr.arm == arm))
-    else:
-        wanted = set(subject_ids)
-        targets = np.array([j for j, sid in enumerate(arr.ids) if sid in wanted], dtype=int)
-        missing_ids = wanted - {arr.ids[j] for j in targets}
-        if missing_ids:
-            raise ImputationError(f"unknown subject ids: {sorted(missing_ids)}")
-    targets = targets[np.isnan(arr.y[targets, -1])] if targets.size else targets
-    z = substream(cfg.seed, IMPUTE_NS, replicate, PUR_NOISE).standard_normal((cfg.m, arr.n))
-    fallback: set[str] = set()
-    vals = _value_draws(arr, targets, donor_scen, purpose, per_visit, cfg,
-                        cfg.seed, replicate, z, fallback)
-    return {arr.ids[j]: v for j, v in vals.items()}
-
-
-def impute_mar(dataset: TrialDataset, arm: int, cfg: ImputationConfig,
-               subject_ids: Optional[Sequence[str]] = None, *, replicate: int = 0) -> dict[str, np.ndarray]:
-    """Draws for missing endpoints from the adherent-completer donor model.
-
-    Default targets: the arm's still-on-treatment subjects with missing
-    endpoints plus its administrative withdrawals.  Subjects whose endpoint is
-    observed are never touched.
-    """
-    per_visit = cfg.mar_conditioning == MONOTONE_SEQUENTIAL
-    return _wrapper_values(dataset, arm, cfg, _S1, PUR_MAR_PARAMS, per_visit,
-                           (_S2, _S52), subject_ids, replicate)
-
-
-def impute_retrieved_dropout(dataset: TrialDataset, arm: int, cfg: ImputationConfig,
-                             subject_ids: Optional[Sequence[str]] = None, *,
-                             replicate: int = 0) -> dict[str, np.ndarray]:
-    """Draws for missing endpoints from the retrieved-dropout donor model
-    (baseline-only conditioning)."""
-    return _wrapper_values(dataset, arm, cfg, _S3, PUR_RD_PARAMS, False,
-                           (_S4, _S52), subject_ids, replicate)

@@ -9,17 +9,16 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Sequence, Union
 
 import numpy as np
 
-from .core import ScenarioLabel, scenario_counts
+from .core import ScenarioLabel, TrialDataset, scenario_counts
 from .datagen import GenParams, TrueValues, generate_trial, generate_truth, resolve_params
-from .errors import ConfigError, SimulationError
-from .estimation import estimate_matrix, pool_rubin
+from .errors import ConfigError, SimulationError, TrialMIError
+from .estimation import PooledEstimate, estimate_matrix, pool_rubin
 from .imputation import METHODS, ImputationConfig, impute_matrix
-from .survival import PROPORTIONAL_HAZARDS
 
 ESTIMANDS = ("control", "treatment", "difference")
 _LABELS = tuple(ScenarioLabel)
@@ -27,18 +26,18 @@ _LABELS = tuple(ScenarioLabel)
 
 @dataclass(frozen=True)
 class SimPlan:
+    """A replicated simulation. ``imputation`` holds the imputation settings;
+    each method runs with its own method and the plan's seed in place of the
+    ones it carries."""
+
     params: Union[GenParams, str]
     n_replicates: int
     methods: tuple[str, ...] = METHODS
-    m_imputations: int = 100
+    imputation: ImputationConfig = ImputationConfig(method=METHODS[0])
     seed: int = 0
     workers: int = 1
     truth_n_datasets: int = 20000
     ci_level: float = 0.95
-    survival_kind: str = PROPORTIONAL_HAZARDS
-    min_donor_pool: int = 12
-    mar_conditioning: str = "monotone-sequential"
-    gate_probability_override: Optional[float] = None
     max_failure_fraction: float = 0.01
 
     def __post_init__(self) -> None:
@@ -64,16 +63,6 @@ class MetricsRow:
 
 
 @dataclass(frozen=True)
-class ReplicateSeries:
-    """Per-replicate pooled results for one (method, estimand)."""
-
-    points: np.ndarray
-    ses: np.ndarray
-    ci_low: np.ndarray
-    ci_high: np.ndarray
-
-
-@dataclass(frozen=True)
 class MetricsTable:
     rows: tuple[MetricsRow, ...]
     scenario_summary: dict[tuple[int, ScenarioLabel], tuple[float, float]]
@@ -81,7 +70,6 @@ class MetricsTable:
     n_replicates: int
     n_excluded: int
     failures: tuple[str, ...]
-    series: dict[tuple[str, str], ReplicateSeries] = field(default_factory=dict)
 
     def row(self, method: str, estimand: str) -> MetricsRow:
         for r in self.rows:
@@ -90,46 +78,42 @@ class MetricsTable:
         raise KeyError((method, estimand))
 
 
-def _impute_config(plan: SimPlan, method: str) -> ImputationConfig:
-    return ImputationConfig(
-        method=method,
-        m=plan.m_imputations,
-        seed=plan.seed,
-        survival_kind=plan.survival_kind,
-        min_donor_pool=plan.min_donor_pool,
-        mar_conditioning=plan.mar_conditioning,
-        gate_probability_override=plan.gate_probability_override,
-    )
+def analyze_dataset(dataset: TrialDataset, configs: Sequence[ImputationConfig], level: float,
+                    replicate: int = 0) -> dict[str, dict[str, PooledEstimate]]:
+    """Impute under each config, estimate every round and pool with Rubin's
+    rules: the pooled estimate per method and estimand."""
+    arms = np.array([s.arm for s in dataset.subjects])
+    n0 = int((arms == 0).sum())
+    n1 = int((arms == 1).sum())
+    com_df = {"control": n0 - 1, "treatment": n1 - 1, "difference": n0 + n1 - 2}
+    out: dict[str, dict[str, PooledEstimate]] = {}
+    for cfg in configs:
+        est = estimate_matrix(arms, impute_matrix(dataset, cfg, replicate=replicate).endpoints)
+        out[cfg.method] = {}
+        for estimand in ESTIMANDS:
+            key = estimand if estimand == "difference" else f"mean_{estimand}"
+            vkey = "var_difference" if estimand == "difference" else f"var_{estimand}"
+            out[cfg.method][estimand] = pool_rubin(list(zip(est[key], est[vkey])), level=level,
+                                                   com_df=com_df[estimand])
+    return out
 
 
 def _run_replicate(args):
-    """One replicate; returns (rep, counts, {method: {estimand: 4 floats}}) or
-    (rep, error message)."""
+    """One replicate; returns (rep, counts, {method: {estimand: 4 floats}}) or,
+    when it fails with a TrialMIError, (rep, error message)."""
     params, plan, rep = args
     try:
         dataset = generate_trial(params, plan.seed, replicate=rep)
         counts = scenario_counts(dataset)
-        arms = np.array([s.arm for s in dataset.subjects])
-        n0 = int((arms == 0).sum())
-        n1 = int((arms == 1).sum())
-        com_df = {"control": n0 - 1, "treatment": n1 - 1, "difference": n0 + n1 - 2}
-        per_method = {}
-        for method in plan.methods:
-            res = impute_matrix(dataset, _impute_config(plan, method), replicate=rep)
-            est = estimate_matrix(arms, res.endpoints)
-            by_estimand = {}
-            for estimand in ESTIMANDS:
-                key = estimand if estimand == "difference" else f"mean_{estimand}"
-                vkey = "var_difference" if estimand == "difference" else f"var_{estimand}"
-                pooled = pool_rubin(list(zip(est[key], est[vkey])), level=plan.ci_level,
-                                    com_df=com_df[estimand])
-                by_estimand[estimand] = (pooled.point, math.sqrt(pooled.total),
-                                         pooled.ci_low, pooled.ci_high)
-            per_method[method] = by_estimand
-        count_arr = np.array([[counts[arm][label] for label in _LABELS] for arm in (0, 1)], dtype=float)
-        return (rep, count_arr, per_method)
-    except Exception as exc:  # noqa: BLE001 - replicate failures are reported, not fatal
+        configs = [replace(plan.imputation, method=m, seed=plan.seed) for m in plan.methods]
+        pooled = analyze_dataset(dataset, configs, plan.ci_level, replicate=rep)
+    except TrialMIError as exc:
         return (rep, f"replicate {rep}: {type(exc).__name__}: {exc}")
+    per_method = {method: {estimand: (p.point, math.sqrt(p.total), p.ci_low, p.ci_high)
+                           for estimand, p in by_estimand.items()}
+                  for method, by_estimand in pooled.items()}
+    count_arr = np.array([[counts[arm][label] for label in _LABELS] for arm in (0, 1)], dtype=float)
+    return (rep, count_arr, per_method)
 
 
 def summarize_scenarios(count_arrays: Sequence[np.ndarray], n_per_arm: int
@@ -172,7 +156,6 @@ def run_plan(plan: SimPlan) -> MetricsTable:
 
     counts = [r[1] for r in ok]
     rows: list[MetricsRow] = []
-    series: dict[tuple[str, str], ReplicateSeries] = {}
     for method in plan.methods:
         for estimand in ESTIMANDS:
             vals = np.array([r[2][method][estimand] for r in ok])
@@ -183,8 +166,6 @@ def run_plan(plan: SimPlan) -> MetricsTable:
             rows.append(MetricsRow(method=method, estimand=estimand,
                                    bias=float(points.mean()) - target,
                                    ese=ese, ase=float(ses.mean()), cp=float(covered.mean())))
-            series[(method, estimand)] = ReplicateSeries(points=points, ses=ses,
-                                                         ci_low=lo, ci_high=hi)
 
     return MetricsTable(
         rows=tuple(rows),
@@ -193,5 +174,4 @@ def run_plan(plan: SimPlan) -> MetricsTable:
         n_replicates=len(ok),
         n_excluded=len(failures),
         failures=failures,
-        series=series,
     )

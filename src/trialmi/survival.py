@@ -24,9 +24,11 @@ PROPORTIONAL_HAZARDS = "proportional_hazards"
 KAPLAN_MEIER = "kaplan_meier"
 KINDS = (PROPORTIONAL_HAZARDS, KAPLAN_MEIER)
 
-#: Discontinuations recorded at week 0 are shifted to this strictly positive
-#: time so that S(0) = 1 holds exactly; the shift cancels in any probability
-#: conditioned on surviving past a positive withdrawal week.
+#: Follow-up times recorded at week 0 (discontinuations and withdrawals) are
+#: shifted to this strictly positive time, so every event time is positive and
+#: S(0) = 1 holds exactly. A week-0 withdrawal thus conditions on nothing, and
+#: the shift cancels in any probability conditioned on surviving past a
+#: positive withdrawal week.
 TIME_FLOOR = 1e-6
 
 MAX_ITER = 50
@@ -258,9 +260,13 @@ def conditional_survival(model: SurvivalModel, t: float, x: Sequence[float] | fl
 
 
 def prob_disc_before_end(model: SurvivalModel, v: float, d: float, x: Sequence[float] | float = ()) -> float:
-    """Probability of discontinuation in (v, d] given none by week v."""
-    if not 0 < v < d:
-        raise SurvivalError(f"withdrawal week must lie strictly inside (0, {d}); got {v}")
+    """Probability of discontinuation in (v, d] given none by week v.
+
+    Any 0 <= v < d is allowed; at v = 0 it is 1 - S(d), since S(0) = 1 (see
+    TIME_FLOOR).
+    """
+    if not 0 <= v < d:
+        raise SurvivalError(f"withdrawal week must lie in [0, {d}); got {v}")
     s_v = conditional_survival(model, v, x)
     if s_v <= 0.0:
         raise SurvivalError("conditioning on zero-probability survival")

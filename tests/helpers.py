@@ -1,9 +1,11 @@
-"""Hand-construction helpers for subject records and small datasets."""
+"""Hand-construction helpers for subject records, small datasets and their CSVs."""
 from __future__ import annotations
 
+import csv
 from typing import Optional, Sequence
 
-from trialmi.core import DEFAULT_GRID, SubjectRecord, TrialDataset, VisitGrid
+from trialmi.core import (ADMIN_WITHDRAWAL, DEFAULT_GRID, OTHER_WITHDRAWAL, SubjectRecord,
+                          TrialDataset, VisitGrid)
 
 _COUNTER = [0]
 
@@ -35,3 +37,19 @@ def completer(value: float, **kw) -> SubjectRecord:
     if base is None:
         base = [value * t / grid.duration for t in grid.times[:-1]] + [value]
     return make_subject(base, **kw)
+
+
+def write_csv(dataset: TrialDataset, path) -> None:
+    """Subject-level CSV in the schema `trialmi analyze` reads."""
+    kind = {ADMIN_WITHDRAWAL: "admin", OTHER_WITHDRAWAL: "other", None: ""}
+
+    def cell(v) -> str:
+        return "" if v is None else repr(float(v))
+
+    rows = [["id", "arm", "baseline"] + [f"y{t:g}" for t in dataset.grid.times]
+            + ["disc_week", "withdraw_week", "withdraw_type"]]
+    for s in dataset.subjects:
+        rows.append([s.id, s.arm, cell(s.baseline), *map(cell, s.outcomes),
+                     cell(s.disc_time), cell(s.withdraw_time), kind[s.withdraw_type]])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)

@@ -5,15 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from trialmi._streams import substream
-from trialmi.core import ScenarioLabel, classify_scenario
+from trialmi._streams import IMPUTE_NS, PUR_NOISE, PUR_POOL_PARAMS, substream
+from trialmi.core import ADMIN_WITHDRAWAL, ScenarioLabel, classify_scenario, validate_dataset
 from trialmi.datagen import generate_trial
 from trialmi.errors import ConfigError, ImputationError
 from trialmi.estimation import pool_rubin
-from trialmi.imputation import (GATED_RD, ImputationConfig, NormalImputationModel,
-                                fit_donor_model, impute, impute_mar, impute_matrix,
-                                impute_method_a, impute_retrieved_dropout,
-                                posterior_draws)
+from trialmi.imputation import (GATED_RD, OBSERVED, ImputationConfig, NormalImputationModel,
+                                fit_donor_model, impute, impute_matrix, posterior_draws)
 from trialmi.survival import build_sample, fit_survival, prob_disc_before_end
 
 from .helpers import completer, make_dataset, make_subject
@@ -40,6 +38,8 @@ class TestConfig:
             ImputationConfig(method="A", min_donor_pool=1)
         with pytest.raises(ConfigError):
             ImputationConfig(method="C", gate_probability_override=1.5)
+        with pytest.raises(ConfigError):
+            ImputationConfig(method="A", m=5.0)
 
 
 class TestDonorModel:
@@ -75,14 +75,36 @@ class TestDonorModel:
             assert abs(draws.mean() - model.beta[j]) < 3 * se
 
 
+    def test_per_round_fit_matches_separate_fits(self):
+        g = np.random.default_rng(4)
+        design = np.column_stack([np.ones(30), g.normal(8, 1, 30), g.normal(0, 1, 30)])
+        rounds = g.normal(0, 1, (30, 5))
+        model = fit_donor_model(design, rounds)
+        assert model.beta.shape == (5, 3) and model.sigma2.shape == (5,)
+        for r in range(5):
+            single = fit_donor_model(design, rounds[:, r])
+            assert np.allclose(model.beta[r], single.beta, rtol=0, atol=1e-12)
+            assert model.sigma2[r] == pytest.approx(single.sigma2, rel=1e-12)
+            assert np.array_equal(model.cov_factor, single.cov_factor)
+        sigma, beta = posterior_draws(model, substream(3, 0), 5)
+        assert sigma.shape == (5,) and beta.shape == (5, 3)
+
+
+def column(data, subject_id):
+    return next(j for j, s in enumerate(data.subjects) if s.id == subject_id)
+
+
 class TestWrappers:
     def test_mar_targets_only_missing_endpoints(self):
         donors = [completer(-1.0 + 0.05 * j, baseline=7.5 + 0.1 * j) for j in range(8)]
         s2 = make_subject([-0.2, -0.4, -0.6, None], baseline=8.0, subject_id="S2A")
         data = make_dataset(donors + [s2])
-        vals = impute_mar(data, 0, cfg())
-        assert set(vals) == {"S2A"}
-        assert vals["S2A"].shape == (40,)
+        res = impute_matrix(data, cfg())
+        imputed = np.flatnonzero((res.provenance_codes != OBSERVED).any(axis=0))
+        assert [data.subjects[j].id for j in imputed] == ["S2A"]
+        assert res.endpoints[:, imputed[0]].shape == (40,)
+        observed = [s.endpoint for s in donors]
+        assert np.array_equal(np.delete(res.endpoints, imputed, axis=1), np.tile(observed, (40, 1)))
 
     def test_mar_draws_center_on_donor_regression(self):
         g = np.random.default_rng(3)
@@ -94,7 +116,7 @@ class TestWrappers:
             donors.append(make_subject([0.0, -0.2, y36, y48], baseline=x))
         target = make_subject([0.0, -0.2, -0.5, None], baseline=8.0, subject_id="T")
         data = make_dataset(donors + [target])
-        vals = impute_mar(data, 0, cfg(m=4000))["T"]
+        vals = impute_matrix(data, cfg(m=4000)).endpoints[:, column(data, "T")]
 
         obs = np.array([[s.baseline, s.outcomes[2], s.outcomes[3]] for s in donors])
         design = np.column_stack([np.ones(60), obs[:, 0], obs[:, 1]])
@@ -123,7 +145,7 @@ class TestWrappers:
         rd = [completer(0.75, disc=12.0, baseline=8 + 0.1 * j) for j in range(6)]
         s4 = make_subject([0.1, None, None, None], disc=12.0, subject_id="X")
         data = make_dataset(rd + [s4])
-        vals = impute_retrieved_dropout(data, 0, cfg(m=300))["X"]
+        vals = impute_matrix(data, cfg("B", m=300)).endpoints[:, column(data, "X")]
         assert np.allclose(vals, 0.75, atol=1e-2)
 
 
@@ -224,6 +246,48 @@ class TestMethodLaws:
         draws = d.endpoints[:, cols]
         assert np.ptp(draws, axis=0).min() > 0  # varies across rounds
 
+    def test_method_d_matches_direct_per_round_refit(self):
+        data = wide_dataset()
+        c = cfg("D", m=30, min_donor_pool=12)
+        d = impute_matrix(data, c, replicate=2)
+        labels = np.array([classify_scenario(s, data.grid) for s in data.subjects])
+        arms = np.array([s.arm for s in data.subjects])
+        x = np.array([s.baseline for s in data.subjects])
+        z = substream(c.seed, IMPUTE_NS, 2, PUR_NOISE).standard_normal((c.m, len(arms)))
+        for arm in (0, 1):
+            donors = np.flatnonzero((labels != ScenarioLabel.S52) & (arms == arm))
+            targets = np.flatnonzero((labels == ScenarioLabel.S52) & (arms == arm))
+            assert donors.size >= 12 and targets.size
+            w = np.column_stack([np.ones(donors.size), x[donors]])
+            df = donors.size - 2
+            beta_hat, sigma2_hat = [], []
+            for r in range(c.m):
+                b = np.linalg.lstsq(w, d.endpoints[r, donors], rcond=None)[0]
+                resid = d.endpoints[r, donors] - w @ b
+                beta_hat.append(b)
+                sigma2_hat.append(float(resid @ resid) / df)
+            model = NormalImputationModel(
+                beta=np.array(beta_hat), sigma2=np.array(sigma2_hat), df=df, n_donors=donors.size,
+                cov_factor=fit_donor_model(w, d.endpoints[0, donors]).cov_factor)
+            rng = substream(c.seed, IMPUTE_NS, 2, PUR_POOL_PARAMS, arm)
+            sigma, beta = posterior_draws(model, rng, c.m)
+            rows = np.column_stack([np.ones(targets.size), x[targets]])
+            expected = beta @ rows.T + sigma[:, None] * z[:, targets]
+            assert np.allclose(d.endpoints[:, targets], expected, rtol=0, atol=1e-12)
+
+    def test_week0_administrative_withdrawal_under_c(self):
+        base = wide_dataset()
+        w0 = make_subject([None] * 4, withdraw=0.0, withdraw_type=ADMIN_WITHDRAWAL,
+                          subject_id="W0", arm=1)
+        data = make_dataset(base.subjects + (w0,), grid=base.grid)
+        assert validate_dataset(data) == []
+        assert classify_scenario(w0, data.grid) is ScenarioLabel.S52
+        res = impute_matrix(data, cfg("C", m=50, min_donor_pool=12))
+        assert np.isfinite(res.endpoints).all()
+        endpoint = np.array([np.nan if s.endpoint is None else s.endpoint for s in data.subjects])
+        observed = ~np.isnan(endpoint)
+        assert np.array_equal(res.endpoints[:, observed], np.tile(endpoint[observed], (res.m, 1)))
+
 
 class TestCompletedDatasets:
     def test_provenance_tags(self):
@@ -240,12 +304,14 @@ class TestCompletedDatasets:
                 else:
                     assert tag == "observed"
 
-    def test_impute_method_helpers_dispatch(self):
-        data = no_s52_dataset()
-        base = cfg("A", m=4, min_donor_pool=12)
-        a = impute_method_a(data, base)
-        assert np.array_equal(a[0].endpoints,
-                              impute(data, cfg("A", m=4, min_donor_pool=12))[0].endpoints)
+    def test_impute_rounds_match_impute_matrix(self):
+        data = wide_dataset()
+        for method in "ABCD":
+            completed = impute(data, cfg(method, m=4, min_donor_pool=12))
+            res = impute_matrix(data, cfg(method, m=4, min_donor_pool=12))
+            assert len(completed) == 4
+            for row, c in zip(res.endpoints, completed):
+                assert np.array_equal(c.endpoints, row)
 
 
 class TestDeterminism:

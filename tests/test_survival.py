@@ -238,8 +238,17 @@ class TestWindowProbability:
 
     def test_invalid_window(self):
         model = fit_survival(sample([1, 2, 48], [1, 1, 0], [[0]] * 3), KAPLAN_MEIER)
-        with pytest.raises(SurvivalError):
-            prob_disc_before_end(model, 0.0, 48.0)
+        for v in (-1.0, 48.0, 50.0):
+            with pytest.raises(SurvivalError):
+                prob_disc_before_end(model, v, 48.0)
+
+    def test_week_zero_conditions_on_nothing(self):
+        model = fit_survival(sample([1, 2, 48], [1, 1, 0], [[0]] * 3), KAPLAN_MEIER)
+        assert prob_disc_before_end(model, 0.0, 48.0) == pytest.approx(2 / 3, rel=1e-12)
+        data = generate_trial("setting2", seed=8)
+        ph = fit_survival(build_sample(data, 0))
+        assert prob_disc_before_end(ph, 0.0, 48.0, [8.3]) == pytest.approx(
+            1.0 - conditional_survival(ph, 48.0, [8.3]), rel=1e-12)
 
     def test_nonincreasing_in_withdrawal_week(self):
         data = generate_trial("setting2", seed=8)
