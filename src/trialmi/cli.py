@@ -78,11 +78,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ana = sub.add_parser("analyze", help="apply the methods to a dataset CSV")
     ana.add_argument("dataset", type=Path, help="subject-level CSV")
-    ana.add_argument("--methods", type=str, default=",".join(METHODS))
+    ana.add_argument("--methods", type=str, help="comma-separated subset of A,B,C,D")
     ana.add_argument("--m-imputations", type=int, help="imputations per method")
-    ana.add_argument("--seed", type=int, default=0)
-    ana.add_argument("--level", type=float, default=0.95)
-    ana.add_argument("--config", type=Path, help="JSON config file (imputation section)")
+    ana.add_argument("--seed", type=int, help="master seed")
+    ana.add_argument("--level", type=float, help="confidence level")
+    ana.add_argument("--config", type=Path, help="JSON config file (plan and imputation sections)")
     ana.add_argument("--out", type=Path, default=Path("."))
 
     tru = sub.add_parser("truth", help="compute complete-data truth values")
@@ -370,17 +370,19 @@ def cmd_analyze(args) -> int:
             print(f"error: subject {v.subject_id}: {v.message}", file=sys.stderr)
         return 1
     methods = _parse_methods(args.methods, config)
+    seed = int(_pick(args.seed, config, "plan", "seed", 0))
+    level = float(_pick(args.level, config, "plan", "ci_level", 0.95))
     imputation = _imputation_config(config, args.m_imputations)
-    configs = [dataclasses.replace(imputation, method=m, seed=args.seed) for m in methods]
+    configs = [dataclasses.replace(imputation, method=m, seed=seed) for m in methods]
     rows = [[method, estimand, _fmt(p.point), _fmt(p.total ** 0.5), _fmt(p.ci_low), _fmt(p.ci_high)]
-            for method, by_estimand in analyze_dataset(dataset, configs, args.level).items()
+            for method, by_estimand in analyze_dataset(dataset, configs, level).items()
             for estimand, p in by_estimand.items()]
 
     out_dir = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
     identity = {"command": "analyze",
                 "dataset_sha256": hashlib.sha256(args.dataset.read_bytes()).hexdigest(),
-                "methods": list(methods), "seed": args.seed, "ci_level": args.level,
+                "methods": list(methods), "seed": seed, "ci_level": level,
                 "imputation": _imputation_identity(imputation)}
     mid = _write_manifest(out_dir, identity, {})
     _write_csv(out_dir / "estimates.csv", mid,

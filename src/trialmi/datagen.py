@@ -23,6 +23,9 @@ from .core import ADMIN_WITHDRAWAL, DEFAULT_GRID, SubjectRecord, TrialDataset, V
 from .errors import ConfigError
 
 NEVER = math.inf
+#: Datasets per truth-kernel call. It sets the truth's draw order, and so every
+#: truth value; changing it is a random-stream layout change.
+TRUTH_BATCH = 500
 
 
 @dataclass(frozen=True)
@@ -263,37 +266,43 @@ def _complete_endpoint_means(rng: np.random.Generator, params: GenParams, n_data
     """Vectorized complete-data endpoint means, one pair per dataset.
 
     Simulates trajectories and discontinuations for every subject but imposes
-    no withdrawal or missingness; used only by the truth oracle.
+    no withdrawal or missingness; used only by the truth oracle.  The draw
+    order is the truth's random-stream layout: per arm, baselines (b, n),
+    subject effects (b, n), visit noise (b, n, K), then the discontinuation
+    uniforms (K, b, n).  Only the endpoint is formed; an arm whose effect
+    equals the control's has no washout shift, so its uniforms go unused.
     """
     times = np.asarray(params.grid.times)
     n = params.n_per_arm
-    k_end = params.grid.n_visits - 1
     decay = 1.0 - np.exp(-params.kappa * times)
+    # Washout fraction at the endpoint for a discontinuation at visit k.
+    disc_week = np.concatenate([[0.0], times[:-1]])
+    frac_at = np.minimum(np.maximum(times[-1] - disc_week, 0.0), params.washout_weeks) / params.washout_weeks
     means = {}
     for arm in (0, 1):
         x = draw_baseline(rng, params, size=(n_datasets, n))
         s = rng.normal(0.0, math.sqrt(params.sigma_s2), size=(n_datasets, n))
         eps = rng.normal(0.0, math.sqrt(params.sigma_e2), size=(n_datasets, n, len(times)))
+        u = rng.random((len(times), n_datasets, n))
         level = params.theta(arm) + (params.beta0 + arm * params.beta1) * (x - params.baseline_mean) + s
-        y_hyp = level[..., None] * decay + eps
-        c = params.c_visit(arm)
-        t_a = np.full((n_datasets, n), NEVER)
-        alive = np.ones((n_datasets, n), dtype=bool)
-        y_prev = np.zeros((n_datasets, n))
-        for k in range(len(times)):
-            prob = np.clip(expit(params.alpha0 + params.alpha1 * y_prev) + c[k], 0.0, 1.0)
-            fail = alive & (rng.random((n_datasets, n)) < prob)
-            t_a[fail] = times[k - 1] if k else 0.0
-            alive &= ~fail
-            y_prev = y_hyp[..., k]
-        frac = np.minimum(np.maximum(times[k_end] - t_a, 0.0), params.washout_weeks) / params.washout_weeks
-        endpoint = y_hyp[..., k_end] - (params.theta(arm) - params.theta0) * frac * decay[k_end]
+        endpoint = level * decay[-1] + eps[..., -1]
+        dtheta = params.theta(arm) - params.theta0
+        if dtheta != 0:
+            c = params.c_visit(arm)
+            frac = np.zeros((n_datasets, n))
+            alive = np.ones((n_datasets, n), dtype=bool)
+            for k in range(len(times)):
+                y_prev = level * decay[k - 1] + eps[..., k - 1] if k and params.alpha1 != 0 else 0.0
+                prob = np.clip(expit(params.alpha0 + params.alpha1 * y_prev) + c[k], 0.0, 1.0)
+                fail = alive & (u[k] < prob)
+                frac[fail] = frac_at[k]
+                alive &= ~fail
+            endpoint = endpoint - dtheta * frac * decay[-1]
         means[arm] = endpoint.mean(axis=1)
     return means[0], means[1]
 
 
-def generate_truth(params: Union[GenParams, str], n_datasets: int, seed: int,
-                   *, batch_size: int = 500) -> TrueValues:
+def generate_truth(params: Union[GenParams, str], n_datasets: int, seed: int) -> TrueValues:
     """Average complete-data estimates over ``n_datasets`` simulated trials."""
     p = resolve_params(params)
     if n_datasets < 1:
@@ -302,7 +311,7 @@ def generate_truth(params: Union[GenParams, str], n_datasets: int, seed: int,
     sum0 = sum1 = 0.0
     done = 0
     while done < n_datasets:
-        b = min(batch_size, n_datasets - done)
+        b = min(TRUTH_BATCH, n_datasets - done)
         m0, m1 = _complete_endpoint_means(rng, p, b)
         sum0 += float(m0.sum())
         sum1 += float(m1.sum())

@@ -137,25 +137,15 @@ class _Arrays:
 def _extract(dataset: TrialDataset) -> _Arrays:
     grid = dataset.grid
     k = grid.n_visits
-    n = len(dataset.subjects)
-    arm = np.empty(n, dtype=int)
-    x = np.empty(n)
-    y = np.full((n, k), np.nan)
-    scen = np.empty(n, dtype=int)
-    withdraw = np.full(n, np.nan)
-    last_obs = np.full(n, -1, dtype=int)
-    for j, subject in enumerate(dataset.subjects):
-        arm[j] = subject.arm
-        x[j] = subject.baseline
-        for idx, val in enumerate(subject.outcomes):
-            if val is not None:
-                y[j, idx] = val
-        scen[j] = _SCEN_CODE[classify_scenario(subject, grid)]
-        if subject.withdraw_time is not None:
-            withdraw[j] = subject.withdraw_time
-        obs = np.flatnonzero(~np.isnan(y[j, : k - 1]))
-        if obs.size:
-            last_obs[j] = int(obs[-1])
+    subjects = dataset.subjects
+    n = len(subjects)
+    # Classifying first validates every record, so the arrays below are well formed.
+    scen = np.array([_SCEN_CODE[classify_scenario(s, grid)] for s in subjects], dtype=int)
+    arm = np.array([s.arm for s in subjects], dtype=int)
+    x = np.array([s.baseline for s in subjects], dtype=float)
+    y = np.array([s.outcomes for s in subjects], dtype=float).reshape(n, k)  # None -> nan
+    withdraw = np.array([s.withdraw_time for s in subjects], dtype=float)
+    last_obs = np.where(~np.isnan(y[:, :-1]), np.arange(k - 1), -1).max(axis=1, initial=-1)
     return _Arrays(n=n, duration=grid.duration, arm=arm, x=x, y=y, scen=scen,
                    last_obs=last_obs, withdraw=withdraw)
 
@@ -258,17 +248,21 @@ def _value_draws(arr: _Arrays, targets: np.ndarray, donor_scen: int, purpose: in
 
 
 def _gate_probabilities(dataset: TrialDataset, arr: _Arrays, s52_idx: np.ndarray,
-                        cfg: ImputationConfig) -> np.ndarray:
+                        cfg: ImputationConfig, fallback: set[str]) -> np.ndarray:
     if cfg.gate_probability_override is not None:
         return np.full(s52_idx.size, float(cfg.gate_probability_override))
-    models = {}
-    out = np.empty(s52_idx.size)
-    for pos, j in enumerate(s52_idx):
-        arm = int(arr.arm[j])
-        if arm not in models:
-            models[arm] = fit_survival(build_sample(dataset, arm), cfg.survival_kind)
-        out[pos] = prob_disc_before_end(models[arm], float(arr.withdraw[j]),
-                                        arr.duration, [arr.x[j]])
+    out = np.zeros(s52_idx.size)
+    for arm in np.unique(arr.arm[s52_idx]).tolist():
+        sample = build_sample(dataset, arm)
+        if not sample.event.any():
+            # With no observed discontinuation the product-limit curve is
+            # S = 1, so every gate probability in the arm is 0.
+            fallback.add(f"no observed discontinuation in arm {arm}: gate probability 0")
+            continue
+        model = fit_survival(sample, cfg.survival_kind)
+        for pos in np.flatnonzero(arr.arm[s52_idx] == arm):
+            j = s52_idx[pos]
+            out[pos] = prob_disc_before_end(model, float(arr.withdraw[j]), arr.duration, [arr.x[j]])
     return out
 
 
@@ -326,7 +320,7 @@ def impute_matrix(dataset: TrialDataset, cfg: ImputationConfig, *, replicate: in
     elif cfg.method == "B":
         out[:, s52], prov[:, s52] = rd[:, s52], RETRIEVED_DROPOUT
     elif s52.size and cfg.method == "C":
-        p_hat = _gate_probabilities(dataset, arr, s52, cfg)
+        p_hat = _gate_probabilities(dataset, arr, s52, cfg, fallback)
         gates = substream(cfg.seed, IMPUTE_NS, replicate, PUR_GATE).random((m, n))[:, s52] < p_hat
         out[:, s52] = np.where(gates, rd[:, s52], mar[:, s52])
         prov[:, s52] = np.where(gates, GATED_RD, GATED_ADHERER)

@@ -2,10 +2,20 @@
 from __future__ import annotations
 
 import csv
+import importlib.util
+import math
+import sys
+from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+from scipy.special import expit
+
+from trialmi._streams import TRUTH_NS, substream
 from trialmi.core import (ADMIN_WITHDRAWAL, DEFAULT_GRID, OTHER_WITHDRAWAL, SubjectRecord,
-                          TrialDataset, VisitGrid)
+                          TrialDataset, VisitGrid, classify_scenario)
+from trialmi.datagen import NEVER, TrueValues, draw_baseline, resolve_params
+from trialmi.imputation import _SCEN_CODE
 
 _COUNTER = [0]
 
@@ -53,3 +63,88 @@ def write_csv(dataset: TrialDataset, path) -> None:
                      cell(s.disc_time), cell(s.withdraw_time), kind[s.withdraw_type]])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def load_trialgen():
+    """The benchmark's CSV generator (``perfbench/trialgen.py``), as a module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "trialgen.py"
+    if "trialgen" not in sys.modules:
+        spec = importlib.util.spec_from_file_location("trialgen", path)
+        sys.modules["trialgen"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules["trialgen"])
+    return sys.modules["trialgen"]
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: the straightforward forms of two vectorised
+# kernels, kept to pin the fast forms bit for bit.
+
+
+def _reference_endpoint_means(rng, params, n_datasets):
+    """Truth kernel that builds every adherent visit value and draws each
+    visit's discontinuation uniforms separately."""
+    times = np.asarray(params.grid.times)
+    n = params.n_per_arm
+    k_end = params.grid.n_visits - 1
+    decay = 1.0 - np.exp(-params.kappa * times)
+    means = {}
+    for arm in (0, 1):
+        x = draw_baseline(rng, params, size=(n_datasets, n))
+        s = rng.normal(0.0, math.sqrt(params.sigma_s2), size=(n_datasets, n))
+        eps = rng.normal(0.0, math.sqrt(params.sigma_e2), size=(n_datasets, n, len(times)))
+        level = params.theta(arm) + (params.beta0 + arm * params.beta1) * (x - params.baseline_mean) + s
+        y_hyp = level[..., None] * decay + eps
+        c = params.c_visit(arm)
+        t_a = np.full((n_datasets, n), NEVER)
+        alive = np.ones((n_datasets, n), dtype=bool)
+        y_prev = np.zeros((n_datasets, n))
+        for k in range(len(times)):
+            prob = np.clip(expit(params.alpha0 + params.alpha1 * y_prev) + c[k], 0.0, 1.0)
+            fail = alive & (rng.random((n_datasets, n)) < prob)
+            t_a[fail] = times[k - 1] if k else 0.0
+            alive &= ~fail
+            y_prev = y_hyp[..., k]
+        frac = np.minimum(np.maximum(times[k_end] - t_a, 0.0), params.washout_weeks) / params.washout_weeks
+        endpoint = y_hyp[..., k_end] - (params.theta(arm) - params.theta0) * frac * decay[k_end]
+        means[arm] = endpoint.mean(axis=1)
+    return means[0], means[1]
+
+
+def reference_truth(params, n_datasets: int, seed: int, batch_size: int = 500) -> TrueValues:
+    """``datagen.generate_truth`` on the reference kernel."""
+    p = resolve_params(params)
+    rng = substream(seed, TRUTH_NS)
+    sum0 = sum1 = 0.0
+    done = 0
+    while done < n_datasets:
+        b = min(batch_size, n_datasets - done)
+        m0, m1 = _reference_endpoint_means(rng, p, b)
+        sum0 += float(m0.sum())
+        sum1 += float(m1.sum())
+        done += b
+    mean0, mean1 = sum0 / n_datasets, sum1 / n_datasets
+    return TrueValues(mean_control=mean0, mean_treatment=mean1,
+                      difference=mean1 - mean0, n_datasets=n_datasets)
+
+
+def reference_extract(dataset: TrialDataset) -> dict:
+    """``imputation._extract``'s arrays, built one subject at a time."""
+    grid = dataset.grid
+    k = grid.n_visits
+    n = len(dataset.subjects)
+    out = {"arm": np.empty(n, dtype=int), "x": np.empty(n), "y": np.full((n, k), np.nan),
+           "scen": np.empty(n, dtype=int), "withdraw": np.full(n, np.nan),
+           "last_obs": np.full(n, -1, dtype=int)}
+    for j, subject in enumerate(dataset.subjects):
+        out["arm"][j] = subject.arm
+        out["x"][j] = subject.baseline
+        for idx, val in enumerate(subject.outcomes):
+            if val is not None:
+                out["y"][j, idx] = val
+        out["scen"][j] = _SCEN_CODE[classify_scenario(subject, grid)]
+        if subject.withdraw_time is not None:
+            out["withdraw"][j] = subject.withdraw_time
+        obs = np.flatnonzero(~np.isnan(out["y"][j, : k - 1]))
+        if obs.size:
+            out["last_obs"][j] = int(obs[-1])
+    return out

@@ -75,3 +75,27 @@ def test_analyze_accepts_week0_administrative_withdrawal(tmp_path):
     rows = data_rows(out / "estimates.csv")[1:]
     assert len(rows) == 3
     assert np.isfinite(np.array([r[2:] for r in rows], dtype=float)).all()
+
+
+def test_analyze_takes_plan_settings_from_config(trial_csv, tmp_path):
+    plan = {"methods": ["A"], "seed": 7, "ci_level": 0.9}
+    out, manifest = run(tmp_path, "config", "analyze", trial_csv, "--m-imputations", 4,
+                        config={"plan": plan})
+    identity = manifest["identity"]
+    assert (identity["methods"], identity["seed"], identity["ci_level"]) == (["A"], 7, 0.9)
+    flag, flag_manifest = run(tmp_path, "flag", "analyze", trial_csv, "--m-imputations", 4,
+                              "--methods", "A", "--seed", 7, "--level", 0.9)
+    assert data_rows(out / "estimates.csv") == data_rows(flag / "estimates.csv")
+    assert manifest["manifest_id"] == flag_manifest["manifest_id"]
+    _, manifest = run(tmp_path, "both", "analyze", trial_csv, "--m-imputations", 4,
+                      "--methods", "B", "--seed", 8, "--level", 0.8, config={"plan": plan})
+    identity = manifest["identity"]
+    assert (identity["methods"], identity["seed"], identity["ci_level"]) == (["B"], 8, 0.8)
+
+
+def test_analyze_defaults_without_config(trial_csv, tmp_path):
+    out, manifest = run(tmp_path, "default", "analyze", trial_csv, "--m-imputations", 4)
+    explicit, explicit_manifest = run(tmp_path, "explicit", "analyze", trial_csv, "--m-imputations", 4,
+                                      "--methods", "A,B,C,D", "--seed", 0, "--level", 0.95)
+    assert manifest == explicit_manifest
+    assert (out / "estimates.csv").read_text() == (explicit / "estimates.csv").read_text()

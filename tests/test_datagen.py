@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trialmi._streams import substream
-from trialmi.core import ScenarioLabel, scenario_counts
+from trialmi.core import ScenarioLabel, VisitGrid, scenario_counts
 from trialmi.datagen import (NEVER, GenParams, adherent_trajectory, assemble_subject,
                              disc_probability, draw_baseline, generate_trial,
                              generate_truth, setting_preset, simulate_disc_time,
@@ -17,6 +17,7 @@ from trialmi.datagen import (NEVER, GenParams, adherent_trajectory, assemble_sub
 from trialmi.errors import ConfigError
 
 from .analytic_oracle import scenario_probabilities
+from .helpers import reference_truth
 
 S = ScenarioLabel
 BASELINE_MEAN = 7.0 + 3.0 * 1.5 / 3.5  # 8.2857...
@@ -263,6 +264,22 @@ class TestTruth:
         decay = 1.0 - math.exp(-params.kappa * 48.0)
         assert truth.mean_control == pytest.approx(0.0, abs=1e-12)
         assert truth.mean_treatment == pytest.approx(params.theta1 * decay, abs=1e-12)
+
+    @pytest.mark.parametrize("params, n_datasets, seed", [
+        pytest.param("setting1", 1, 7, id="setting1-1"),
+        pytest.param("setting1", 501, 8, id="setting1-501"),
+        pytest.param("setting2", 1, 8, id="setting2-1"),
+        pytest.param("setting2", 501, 7, id="setting2-501"),
+        pytest.param(dataclasses.replace(setting_preset("setting1"), theta1=0.0), 501, 3,
+                     id="equal-effects"),
+        pytest.param(dataclasses.replace(setting_preset("setting1"), grid=VisitGrid((48.0,)),
+                                         c_control=(0.2,), c_experimental=(0.06,)), 501, 4,
+                     id="one-visit"),
+    ])
+    def test_bit_identical_to_reference_kernel(self, params, n_datasets, seed):
+        # The fast kernel keeps the reference's draws and arithmetic order,
+        # so every truth value is equal, not merely close.
+        assert generate_truth(params, n_datasets, seed) == reference_truth(params, n_datasets, seed)
 
     def test_seed_batches_agree(self):
         a = generate_truth("setting2", 2000, seed=100)

@@ -6,15 +6,17 @@ import numpy as np
 import pytest
 
 from trialmi._streams import IMPUTE_NS, PUR_NOISE, PUR_POOL_PARAMS, substream
-from trialmi.core import ADMIN_WITHDRAWAL, ScenarioLabel, classify_scenario, validate_dataset
+from trialmi.cli import read_dataset_csv
+from trialmi.core import ADMIN_WITHDRAWAL, ScenarioLabel, VisitGrid, classify_scenario, validate_dataset
 from trialmi.datagen import generate_trial
 from trialmi.errors import ConfigError, ImputationError
 from trialmi.estimation import pool_rubin
-from trialmi.imputation import (GATED_RD, OBSERVED, ImputationConfig, NormalImputationModel,
-                                fit_donor_model, impute, impute_matrix, posterior_draws)
+from trialmi.imputation import (GATED_ADHERER, GATED_RD, OBSERVED, ImputationConfig,
+                                NormalImputationModel, _extract, fit_donor_model, impute,
+                                impute_matrix, posterior_draws)
 from trialmi.survival import build_sample, fit_survival, prob_disc_before_end
 
-from .helpers import completer, make_dataset, make_subject
+from .helpers import completer, load_trialgen, make_dataset, make_subject, reference_extract
 
 
 def cfg(method="A", **kw):
@@ -92,6 +94,48 @@ class TestDonorModel:
 
 def column(data, subject_id):
     return next(j for j, s in enumerate(data.subjects) if s.id == subject_id)
+
+
+def assert_extract_matches_reference(data):
+    arr, ref = _extract(data), reference_extract(data)
+    assert arr.n == len(data.subjects) and arr.duration == data.grid.duration
+    for name, expected in ref.items():
+        got = getattr(arr, name)
+        assert got.dtype == expected.dtype and got.shape == expected.shape, name
+        assert np.array_equal(got, expected, equal_nan=True), name
+
+
+class TestExtract:
+    def test_matches_per_subject_reference_on_gapped_csv(self, tmp_path):
+        trialgen = load_trialgen()
+        path = tmp_path / "gapped.csv"
+        trialgen.write_csv(path, trialgen.generate(seed=3, n_per_arm=150)[0])
+        data = read_dataset_csv(path)
+        y = np.array([s.outcomes for s in data.subjects], dtype=float)
+        gaps = np.isnan(y[:, :-1]) & ~np.isnan(y[:, -1:])
+        assert gaps.any()  # intermediate visits missing before an observed endpoint
+        assert_extract_matches_reference(data)
+
+    def test_one_visit_grid(self):
+        grid = VisitGrid((48.0,))
+        subjects = [make_subject([-0.1 * (j % 5)], arm=j % 2, baseline=7 + 0.3 * (j % 7), grid=grid)
+                    for j in range(30)]
+        subjects += [make_subject([-0.2 - 0.05 * j], arm=j % 2, disc=0.0, baseline=7 + 0.2 * j, grid=grid)
+                     for j in range(10)]
+        subjects += [make_subject([None], arm=0, subject_id="S2", grid=grid),
+                     make_subject([None], arm=1, withdraw=20.0, subject_id="W", grid=grid)]
+        data = make_dataset(subjects, grid=grid)
+        assert_extract_matches_reference(data)
+        for method in "ABCD":
+            assert np.isfinite(impute_matrix(data, cfg(method, m=5)).endpoints).all()
+
+    def test_one_visit_grid_without_donors_raises_typed_error(self):
+        grid = VisitGrid((48.0,))
+        data = make_dataset([make_subject([0.1 * j], baseline=7 + 0.2 * j, grid=grid) for j in range(8)]
+                            + [make_subject([None], disc=0.0, grid=grid)], grid=grid)
+        assert_extract_matches_reference(data)
+        with pytest.raises(ImputationError, match="pooling arms"):
+            impute_matrix(data, cfg("B", m=5))
 
 
 class TestWrappers:
@@ -287,6 +331,29 @@ class TestMethodLaws:
         endpoint = np.array([np.nan if s.endpoint is None else s.endpoint for s in data.subjects])
         observed = ~np.isnan(endpoint)
         assert np.array_equal(res.endpoints[:, observed], np.tile(endpoint[observed], (res.m, 1)))
+
+
+    def test_arm_without_observed_discontinuation_gates_to_adherer(self):
+        # The treatment arm has administrative withdrawals but no observed
+        # discontinuation, so its survival curve is flat and its gate is 0.
+        subjects = [completer(-1.0 + 0.03 * j, arm=arm, baseline=7 + 0.2 * j)
+                    for arm in (0, 1) for j in range(15)]
+        subjects += [completer(-0.2 - 0.02 * j, disc=12.0 * (1 + j % 3), baseline=7.1 + 0.2 * j)
+                     for j in range(15)]
+        subjects += [make_subject([-0.4, None, None, None], arm=arm, withdraw=13.0,
+                                  withdraw_type=ADMIN_WITHDRAWAL, subject_id=f"W{arm}")
+                     for arm in (0, 1)]
+        data = make_dataset(subjects)
+        assert validate_dataset(data) == []
+        assert not build_sample(data, 1).event.any()
+        res = impute_matrix(data, cfg("C", m=50))
+        assert np.isfinite(res.endpoints).all()
+        endpoint = np.array([np.nan if s.endpoint is None else s.endpoint for s in data.subjects])
+        observed = ~np.isnan(endpoint)
+        assert np.array_equal(res.endpoints[:, observed], np.tile(endpoint[observed], (res.m, 1)))
+        assert (res.provenance_codes[:, column(data, "W1")] == GATED_ADHERER).all()
+        assert "no observed discontinuation in arm 1: gate probability 0" in res.fallback_events
+        assert not any("arm 0" in e for e in res.fallback_events)
 
 
 class TestCompletedDatasets:
