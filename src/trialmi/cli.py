@@ -39,6 +39,10 @@ _PLAN_KEYS = {"preset", "n_replicates", "methods", "seed", "workers",
               "truth_n_datasets", "ci_level"}
 _IMPUTATION_KEYS = {f.name for f in dataclasses.fields(ImputationConfig)} - {"method", "seed"}
 _GEN_KEYS = {f.name for f in dataclasses.fields(GenParams)}
+#: Config sections and keys each command does not use, and so rejects.
+_UNUSED = {"simulate": set(),
+           "analyze": {"gen", "plan.preset", "plan.n_replicates", "plan.workers", "plan.truth_n_datasets"},
+           "truth": {"imputation", "plan.methods", "plan.n_replicates", "plan.workers", "plan.ci_level"}}
 
 
 def _fmt(x: float) -> str:
@@ -95,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
 # configuration
 
 
-def _load_config(path: Optional[Path]) -> dict:
+def _load_config(path: Optional[Path], command: str) -> dict:
     if path is None:
         return {}
     try:
@@ -114,9 +118,13 @@ def _load_config(path: Optional[Path]) -> dict:
             raise ConfigError(f"{path}: unknown section {section!r}")
         if not isinstance(body, dict):
             raise ConfigError(f"{path}: section {section!r} must be an object")
+        if section in _UNUSED[command]:
+            raise ConfigError(f"{path}: {command} does not use section {section!r}")
         for key in body:
             if key not in allowed[section]:
                 raise ConfigError(f"{path}: unknown key {section}.{key}")
+            if f"{section}.{key}" in _UNUSED[command]:
+                raise ConfigError(f"{path}: {command} does not use {section}.{key}")
     return doc
 
 
@@ -308,7 +316,7 @@ def read_dataset_csv(path: Path) -> TrialDataset:
 
 
 def cmd_simulate(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, args.command)
     params, preset = _resolve_gen_params(config, args.preset)
     methods = _parse_methods(args.methods, config)
     plan = SimPlan(
@@ -346,7 +354,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_truth(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, args.command)
     params, preset = _resolve_gen_params(config, args.preset)
     seed = int(_pick(args.seed, config, "plan", "seed", 0))
     n_datasets = int(_pick(args.n_datasets, config, "plan", "truth_n_datasets", 20000))
@@ -362,7 +370,7 @@ def cmd_truth(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, args.command)
     dataset = read_dataset_csv(args.dataset)
     violations = validate_dataset(dataset)
     if violations:

@@ -262,7 +262,8 @@ def generate_trial(params: Union[GenParams, str], seed: int, *, replicate: int =
     return TrialDataset(grid=p.grid, subjects=tuple(subjects), provenance=provenance)
 
 
-def _complete_endpoint_means(rng: np.random.Generator, params: GenParams, n_datasets: int):
+def _complete_endpoint_means(rng: np.random.Generator, params: GenParams, n_datasets: int,
+                             buffers: tuple[np.ndarray, np.ndarray, np.ndarray]):
     """Vectorized complete-data endpoint means, one pair per dataset.
 
     Simulates trajectories and discontinuations for every subject but imposes
@@ -270,28 +271,38 @@ def _complete_endpoint_means(rng: np.random.Generator, params: GenParams, n_data
     order is the truth's random-stream layout: per arm, baselines (b, n),
     subject effects (b, n), visit noise (b, n, K), then the discontinuation
     uniforms (K, b, n).  Only the endpoint is formed; an arm whose effect
-    equals the control's has no washout shift, so its uniforms go unused.
+    equals the control's has no washout shift, so its uniforms are skipped.
+    The effects, noise and uniforms go into ``buffers``, flat arrays of at
+    least b n, b n K and K b n values that the caller reuses across batches.
     """
     times = np.asarray(params.grid.times)
-    n = params.n_per_arm
+    n, visits = params.n_per_arm, len(times)
     decay = 1.0 - np.exp(-params.kappa * times)
     # Washout fraction at the endpoint for a discontinuation at visit k.
     disc_week = np.concatenate([[0.0], times[:-1]])
     frac_at = np.minimum(np.maximum(times[-1] - disc_week, 0.0), params.washout_weeks) / params.washout_weeks
+    s_buf, eps_buf, u_buf = (buf[:size * n_datasets * n]
+                             for buf, size in zip(buffers, (1, visits, visits)))
     means = {}
     for arm in (0, 1):
         x = draw_baseline(rng, params, size=(n_datasets, n))
-        s = rng.normal(0.0, math.sqrt(params.sigma_s2), size=(n_datasets, n))
-        eps = rng.normal(0.0, math.sqrt(params.sigma_e2), size=(n_datasets, n, len(times)))
-        u = rng.random((len(times), n_datasets, n))
+        # normal(0, sd) draws sd * z from the same standard normals.
+        s = rng.standard_normal(out=s_buf.reshape(n_datasets, n))
+        s *= math.sqrt(params.sigma_s2)
+        eps = rng.standard_normal(out=eps_buf.reshape(n_datasets, n, visits))
+        eps *= math.sqrt(params.sigma_e2)
         level = params.theta(arm) + (params.beta0 + arm * params.beta1) * (x - params.baseline_mean) + s
         endpoint = level * decay[-1] + eps[..., -1]
         dtheta = params.theta(arm) - params.theta0
-        if dtheta != 0:
+        if dtheta == 0:
+            # Each uniform double takes one step of the PCG64 stream.
+            rng.bit_generator.advance(u_buf.size)
+        else:
+            u = rng.random(out=u_buf.reshape(visits, n_datasets, n))
             c = params.c_visit(arm)
             frac = np.zeros((n_datasets, n))
             alive = np.ones((n_datasets, n), dtype=bool)
-            for k in range(len(times)):
+            for k in range(visits):
                 y_prev = level * decay[k - 1] + eps[..., k - 1] if k and params.alpha1 != 0 else 0.0
                 prob = np.clip(expit(params.alpha0 + params.alpha1 * y_prev) + c[k], 0.0, 1.0)
                 fail = alive & (u[k] < prob)
@@ -308,11 +319,13 @@ def generate_truth(params: Union[GenParams, str], n_datasets: int, seed: int) ->
     if n_datasets < 1:
         raise ConfigError("n_datasets must be >= 1")
     rng = substream(seed, TRUTH_NS)
+    size = min(TRUTH_BATCH, n_datasets) * p.n_per_arm
+    buffers = (np.empty(size), np.empty(size * p.grid.n_visits), np.empty(size * p.grid.n_visits))
     sum0 = sum1 = 0.0
     done = 0
     while done < n_datasets:
         b = min(TRUTH_BATCH, n_datasets - done)
-        m0, m1 = _complete_endpoint_means(rng, p, b)
+        m0, m1 = _complete_endpoint_means(rng, p, b, buffers)
         sum0 += float(m0.sum())
         sum1 += float(m1.sum())
         done += b

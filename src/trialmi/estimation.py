@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from .errors import EstimationError
 from .imputation import CompletedDataset
@@ -80,21 +80,23 @@ def estimate_matrix(arms: np.ndarray, endpoints: np.ndarray) -> dict[str, np.nda
     return out
 
 
-def pool_rubin(estimates: Sequence[tuple[float, float]], level: float = 0.95,
+def pool_rubin(estimates: Sequence[tuple[float, float]] | np.ndarray, level: float = 0.95,
                com_df: Optional[float] = None) -> PooledEstimate:
-    """Combine (point, variance) pairs from m imputation rounds.
+    """Combine (point, variance) pairs from m imputation rounds, as pairs or one (m, 2) array.
 
     com_df is the complete-data degrees of freedom; None uses the classic
     large-sample Rubin df.
     """
-    m = len(estimates)
+    est = np.asarray(estimates, dtype=float)
+    m = len(est)
     if m < 2:
         raise EstimationError("Rubin pooling needs at least 2 imputations")
+    if est.shape != (m, 2):
+        raise EstimationError("pooling inputs must be (point, variance) pairs")
     if not 0 < level < 1:
         raise EstimationError("confidence level must lie in (0, 1)")
-    points = np.array([p for p, _ in estimates], dtype=float)
-    variances = np.array([v for _, v in estimates], dtype=float)
-    if not (np.all(np.isfinite(points)) and np.all(np.isfinite(variances))):
+    points, variances = est[:, 0], est[:, 1]
+    if not np.all(np.isfinite(est)):
         raise EstimationError("pooling inputs must be finite")
     qbar = float(points.mean())
     w = float(variances.mean())
@@ -108,11 +110,15 @@ def pool_rubin(estimates: Sequence[tuple[float, float]], level: float = 0.95,
     if com_df is not None and math.isfinite(com_df):
         gamma = ((1.0 + 1.0 / m) * b / t) if t > 0 else 0.0
         df_obs = com_df * (com_df + 1.0) / (com_df + 3.0) * (1.0 - gamma)
+        if df_obs <= 0:
+            raise EstimationError("zero within-imputation variance leaves no observed-data df")
         df = 1.0 / (1.0 / df_old + 1.0 / df_obs) if math.isfinite(df_old) else df_obs
     else:
         df = df_old
 
-    half = float(stats.t.ppf((1.0 + level) / 2.0, df)) * math.sqrt(t) if t > 0 else 0.0
+    # stdtrit is the t quantile that scipy.stats.t.ppf evaluates; importing
+    # scipy.stats for it alone would add most of a second to every start.
+    half = float(stdtrit(df, (1.0 + level) / 2.0)) * math.sqrt(t) if t > 0 else 0.0
     return PooledEstimate(point=qbar, within=w, between=b, total=t, df=df, level=level,
                           ci_low=qbar - half, ci_high=qbar + half, m=m)
 

@@ -212,16 +212,16 @@ def _build_design(arr: _Arrays, rows: np.ndarray, visit: int, pooled: bool) -> n
 
 def _value_draws(arr: _Arrays, targets: np.ndarray, donor_scen: int, purpose: int,
                  per_visit: bool, cfg: ImputationConfig, replicate: int,
-                 z: np.ndarray, fallback: set[str]) -> np.ndarray:
+                 z: np.ndarray, fallback: set[str], fits: dict) -> np.ndarray:
     """Posterior-predictive endpoint draws, (m, n) with the target columns filled.
 
     Targets are grouped by (arm, conditioning visit). Each (arm, visit) donor
     model is fit and drawn once; a short donor pool borrows the other arm,
-    with an arm covariate, and that pooled fit serves both arms.
+    with an arm covariate, and that pooled fit serves both arms. ``fits``
+    holds the parameter draws by stream key, for every method to reuse.
     """
     draws = np.full(z.shape, np.nan)
     visits = arr.last_obs[targets] if per_visit else np.full(targets.size, -1)
-    fits: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
     for arm, visit in sorted(set(zip(arr.arm[targets].tolist(), visits.tolist()))):
         group = targets[(arr.arm[targets] == arm) & (visits == visit)]
         donors = _donor_rows(arr, donor_scen, arm, visit)
@@ -233,18 +233,24 @@ def _value_draws(arr: _Arrays, targets: np.ndarray, donor_scen: int, purpose: in
             fallback.add(f"{label} donors pooled across arms"
                          + (f" (conditioning visit {visit})" if visit >= 0 else ""))
         scope = _ARM_POOLED if pooled else arm
-        if (scope, visit) not in fits:
+        key = (cfg.seed, cfg.m, cfg.min_donor_pool, purpose, scope, visit)
+        if key not in fits:
             try:
                 model = fit_donor_model(_build_design(arr, donors, visit, pooled),
                                         arr.y[donors, -1], min_donor_pool=cfg.min_donor_pool)
             except ImputationError as exc:
                 raise ImputationError(f"donor pool exhausted even after pooling arms: {exc}") from exc
             rng = substream(cfg.seed, IMPUTE_NS, replicate, purpose, scope, visit + 1)
-            fits[(scope, visit)] = posterior_draws(model, rng, cfg.m)
-        sigma, beta = fits[(scope, visit)]
-        for j, row in zip(group, _build_design(arr, group, visit, pooled)):
-            draws[:, j] = beta @ row + sigma * z[:, j]
+            fits[key] = posterior_draws(model, rng, cfg.m)
+        draws[:, group] = _predict(*fits[key], _build_design(arr, group, visit, pooled), z[:, group])
     return draws
+
+
+def _predict(sigma: np.ndarray, beta: np.ndarray, design: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """(m, g) draws beta_i . design_j + sigma_i z_ij. The stacked product runs
+    one matrix-vector product per target, as ``beta @ row`` does, so every
+    draw is bit-identical to a per-target loop (``beta @ design.T`` is not)."""
+    return (beta @ design[:, :, None])[..., 0].T + sigma[:, None] * z
 
 
 def _gate_probabilities(dataset: TrialDataset, arr: _Arrays, s52_idx: np.ndarray,
@@ -260,6 +266,8 @@ def _gate_probabilities(dataset: TrialDataset, arr: _Arrays, s52_idx: np.ndarray
             fallback.add(f"no observed discontinuation in arm {arm}: gate probability 0")
             continue
         model = fit_survival(sample, cfg.survival_kind)
+        if model.separation_fallback:
+            fallback.add(f"monotone partial likelihood in arm {arm}: product-limit gate")
         for pos in np.flatnonzero(arr.arm[s52_idx] == arm):
             j = s52_idx[pos]
             out[pos] = prob_disc_before_end(model, float(arr.withdraw[j]), arr.duration, [arr.x[j]])
@@ -288,17 +296,26 @@ def _pooled_donor_values(arr: _Arrays, targets: np.ndarray, out: np.ndarray,
         except ImputationError as exc:
             raise ImputationError(f"no usable endpoint donors for pooled imputation: {exc}") from exc
         rng = substream(cfg.seed, IMPUTE_NS, replicate, PUR_POOL_PARAMS, _ARM_POOLED if pooled else arm)
-        sigma, beta = posterior_draws(model, rng, cfg.m)
-        for j, row in zip(group, _build_design(arr, group, -1, pooled)):
-            draws[:, j] = beta @ row + sigma * z[:, j]
+        draws[:, group] = _predict(*posterior_draws(model, rng, cfg.m),
+                                   _build_design(arr, group, -1, pooled), z[:, group])
     return draws
 
 
-def impute_matrix(dataset: TrialDataset, cfg: ImputationConfig, *, replicate: int = 0) -> ImputationResult:
-    """All m imputation rounds as matrices; observed endpoints pass through."""
+def impute_matrix(dataset: TrialDataset, cfg: ImputationConfig, *, replicate: int = 0,
+                  shared: Optional[dict] = None) -> ImputationResult:
+    """All m imputation rounds as matrices; observed endpoints pass through.
+
+    Calls on one dataset and replicate may pass one ``shared`` dict, so that
+    the noise and the donor draws, keyed by stream, are made once for all.
+    """
     arr = _extract(dataset)
     m, n = cfg.m, arr.n
-    z = substream(cfg.seed, IMPUTE_NS, replicate, PUR_NOISE).standard_normal((m, n))
+    shared = {} if shared is None else shared
+    z = shared.get((cfg.seed, m))
+    if z is None:
+        z = substream(cfg.seed, IMPUTE_NS, replicate, PUR_NOISE).standard_normal((m, n))
+        shared[(cfg.seed, m)] = z
+        z.flags.writeable = False
     out = np.repeat(arr.y[None, :, -1], m, axis=0)
     prov = np.zeros((m, n), dtype=np.int8)
     fallback: set[str] = set()
@@ -310,8 +327,8 @@ def impute_matrix(dataset: TrialDataset, cfg: ImputationConfig, *, replicate: in
     mar_targets = np.concatenate([s2, s52]) if cfg.method in ("A", "C") else s2
     rd_targets = np.concatenate([s4, s52]) if cfg.method in ("B", "C") else s4
     per_visit = cfg.mar_conditioning == MONOTONE_SEQUENTIAL
-    mar = _value_draws(arr, mar_targets, _S1, PUR_MAR_PARAMS, per_visit, cfg, replicate, z, fallback)
-    rd = _value_draws(arr, rd_targets, _S3, PUR_RD_PARAMS, False, cfg, replicate, z, fallback)
+    mar = _value_draws(arr, mar_targets, _S1, PUR_MAR_PARAMS, per_visit, cfg, replicate, z, fallback, shared)
+    rd = _value_draws(arr, rd_targets, _S3, PUR_RD_PARAMS, False, cfg, replicate, z, fallback, shared)
     out[:, s2], prov[:, s2] = mar[:, s2], MAR_ADHERER
     out[:, s4], prov[:, s4] = rd[:, s4], RETRIEVED_DROPOUT
 

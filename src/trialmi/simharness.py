@@ -87,14 +87,16 @@ def analyze_dataset(dataset: TrialDataset, configs: Sequence[ImputationConfig], 
     n1 = int((arms == 1).sum())
     com_df = {"control": n0 - 1, "treatment": n1 - 1, "difference": n0 + n1 - 2}
     out: dict[str, dict[str, PooledEstimate]] = {}
+    shared: dict = {}  # noise and donor draws, made once for every config
     for cfg in configs:
-        est = estimate_matrix(arms, impute_matrix(dataset, cfg, replicate=replicate).endpoints)
+        imputed = impute_matrix(dataset, cfg, replicate=replicate, shared=shared)
+        est = estimate_matrix(arms, imputed.endpoints)
         out[cfg.method] = {}
         for estimand in ESTIMANDS:
             key = estimand if estimand == "difference" else f"mean_{estimand}"
             vkey = "var_difference" if estimand == "difference" else f"var_{estimand}"
-            out[cfg.method][estimand] = pool_rubin(list(zip(est[key], est[vkey])), level=level,
-                                                   com_df=com_df[estimand])
+            out[cfg.method][estimand] = pool_rubin(np.column_stack([est[key], est[vkey]]),
+                                                   level=level, com_df=com_df[estimand])
     return out
 
 

@@ -76,8 +76,8 @@ def load_trialgen():
 
 
 # ---------------------------------------------------------------------------
-# Reference implementations: the straightforward forms of two vectorised
-# kernels, kept to pin the fast forms bit for bit.
+# Reference implementations: the straightforward forms of vectorised kernels,
+# kept to pin the fast forms bit for bit.
 
 
 def _reference_endpoint_means(rng, params, n_datasets):
@@ -148,3 +148,35 @@ def reference_extract(dataset: TrialDataset) -> dict:
         if obs.size:
             out["last_obs"][j] = int(obs[-1])
     return out
+
+
+def reference_predict(sigma, beta, design, z):
+    """``imputation._predict`` as a loop over targets: one draw column each."""
+    draws = np.empty(z.shape)
+    for j, row in enumerate(design):
+        draws[:, j] = beta @ row + sigma * z[:, j]
+    return draws
+
+
+def reference_pool_rubin(estimates, level=0.95, com_df=None):
+    """``estimation.pool_rubin`` from a list of pairs, with the quantile from
+    ``scipy.stats.t.ppf``. Returns (point, within, between, total, df,
+    ci_low, ci_high)."""
+    from scipy import stats
+
+    m = len(estimates)
+    points = np.array([p for p, _ in estimates], dtype=float)
+    variances = np.array([v for _, v in estimates], dtype=float)
+    qbar = float(points.mean())
+    w = float(variances.mean())
+    b = float(points.var(ddof=1))
+    t = w + (1.0 + 1.0 / m) * b
+    df_old = (m - 1) * (1.0 + w / ((1.0 + 1.0 / m) * b)) ** 2 if b > 0 else math.inf
+    if com_df is not None and math.isfinite(com_df):
+        gamma = ((1.0 + 1.0 / m) * b / t) if t > 0 else 0.0
+        df_obs = com_df * (com_df + 1.0) / (com_df + 3.0) * (1.0 - gamma)
+        df = 1.0 / (1.0 / df_old + 1.0 / df_obs) if math.isfinite(df_old) else df_obs
+    else:
+        df = df_old
+    half = float(stats.t.ppf((1.0 + level) / 2.0, df)) * math.sqrt(t) if t > 0 else 0.0
+    return qbar, w, b, t, df, qbar - half, qbar + half

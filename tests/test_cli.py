@@ -1,7 +1,11 @@
-"""Command-line tests: the imputation settings a run uses and records."""
+"""Command-line tests: the settings a run uses, rejects and records."""
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,3 +103,53 @@ def test_analyze_defaults_without_config(trial_csv, tmp_path):
                                       "--methods", "A,B,C,D", "--seed", 0, "--level", 0.95)
     assert manifest == explicit_manifest
     assert (out / "estimates.csv").read_text() == (explicit / "estimates.csv").read_text()
+
+
+def rejects(tmp_path, capsys, config, *argv):
+    (tmp_path / "bad.json").write_text(json.dumps(config))
+    assert cli.main([str(a) for a in argv] + ["--config", str(tmp_path / "bad.json"),
+                                               "--out", str(tmp_path / "bad")]) == 1
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "truth"])
+def test_command_rejects_config_keys_it_does_not_use(trial_csv, tmp_path, capsys, command):
+    if command == "analyze":
+        argv, unused = ("analyze", trial_csv, "--m-imputations", 4), (
+            {"plan": {"preset": "setting2"}}, {"plan": {"n_replicates": 3}}, {"plan": {"workers": 4}},
+            {"plan": {"truth_n_datasets": 5}})
+        err = rejects(tmp_path, capsys, {"gen": {"n_per_arm": 60}}, *argv)
+        assert "analyze does not use section 'gen'" in err
+    else:
+        argv, unused = ("truth", "--n-datasets", 20), (
+            {"plan": {"methods": ["A"]}}, {"plan": {"n_replicates": 3}}, {"plan": {"workers": 4}},
+            {"plan": {"ci_level": 0.9}})
+        err = rejects(tmp_path, capsys, {"imputation": {"m": 5}}, *argv)
+        assert "truth does not use section 'imputation'" in err
+    for config in unused:
+        key = next(iter(config["plan"]))
+        assert f"{command} does not use plan.{key}" in rejects(tmp_path, capsys, config, *argv)
+
+
+def test_simulate_accepts_every_config_key(tmp_path):
+    config = {"gen": {"n_per_arm": 60},
+              "plan": {"preset": "setting2", "n_replicates": 2, "methods": ["A", "C"], "seed": 3,
+                       "workers": 1, "truth_n_datasets": 50, "ci_level": 0.9},
+              "imputation": {**CHANGED, "m": 4, "min_donor_pool": 6}}
+    assert set(config["plan"]) == cli._PLAN_KEYS and set(config["imputation"]) == SETTINGS
+    _, manifest = run(tmp_path, "all", "simulate", config=config)
+    identity = manifest["identity"]
+    assert (identity["preset"], identity["params"]["n_per_arm"]) == ("setting2", 60)
+    assert identity["plan"]["imputation"] == config["imputation"]
+    plan = {k: v for k, v in config["plan"].items() if k not in ("preset", "workers")}
+    assert {k: identity["plan"][k] for k in plan} == plan
+    assert manifest["execution"]["workers"] == 1
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, trialmi.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                            timeout=60, check=True)
+    assert result.stdout.strip() == "False"

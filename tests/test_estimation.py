@@ -11,7 +11,7 @@ from trialmi.estimation import (coverage_indicator, estimate_complete,
                                 estimate_matrix, pool_rubin)
 from trialmi.imputation import CompletedDataset
 
-from .helpers import completer, make_dataset
+from .helpers import completer, make_dataset, reference_pool_rubin
 
 
 def completed(values0, values1):
@@ -97,6 +97,28 @@ class TestRubinPooling:
     def test_needs_two(self):
         with pytest.raises(EstimationError):
             pool_rubin([(1.0, 0.5)])
+
+    def test_rejects_estimates_that_are_not_pairs(self):
+        with pytest.raises(EstimationError, match="pairs"):
+            pool_rubin([(1.0, 0.5, 2.0), (2.0, 0.5, 3.0)])
+
+    @pytest.mark.parametrize("com_df", [None, 4, 399, math.inf])
+    def test_matches_reference_bit_for_bit(self, com_df):
+        rng = np.random.default_rng(11)
+        for m in (2, 3, 30, 100):
+            points = rng.normal(0.0, 1.0, m)
+            variances = rng.uniform(0.01, 2.0, m)
+            for pts in (points, np.full(m, points[0])):  # between variance > 0, then 0
+                stacked = np.column_stack([pts, variances])
+                expected = reference_pool_rubin(list(zip(pts.tolist(), variances.tolist())), 0.9, com_df)
+                for estimates in (stacked, stacked.tolist()):
+                    p = pool_rubin(estimates, level=0.9, com_df=com_df)
+                    assert (p.point, p.within, p.between, p.total, p.df, p.ci_low, p.ci_high) == expected
+
+    def test_zero_within_variance_needs_large_sample_df(self):
+        with pytest.raises(EstimationError, match="no observed-data df"):
+            pool_rubin([(1.0, 0.0), (2.0, 0.0), (3.0, 0.0)], com_df=10)
+        assert pool_rubin([(1.0, 0.0), (2.0, 0.0), (3.0, 0.0)]).df == 2.0
 
     def test_barnard_rubin_df_bounded_by_complete_data_df(self):
         pooled = pool_rubin([(0.1, 0.2), (0.4, 0.25), (-0.2, 0.22)], com_df=30)

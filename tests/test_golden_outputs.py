@@ -1,0 +1,66 @@
+"""Golden outputs: the SHA-256 of small fixed-seed CLI runs, below the manifest line.
+
+A change that keeps every random draw and every floating-point operation must
+leave these hashes as they are. A change that declares a random-stream layout
+change (or an arithmetic change) in CHANGES.md updates them in the same change.
+"""
+import hashlib
+import json
+
+import pytest
+
+from trialmi import cli
+
+from .helpers import load_trialgen
+
+SIMULATE = ("--reps", 3, "--m-imputations", 10, "--truth-datasets", 200, "--seed", 5)
+#: run name -> (argv after the command, config or None, output files hashed)
+RUNS = {
+    "simulate-setting1": (("simulate", "--preset", "setting1") + SIMULATE, None,
+                          ("metrics.csv", "scenarios.csv", "truth.csv")),
+    # A small trial, so that short donor pools borrow the other arm.
+    "simulate-setting2": (("simulate", "--preset", "setting2") + SIMULATE,
+                          {"gen": {"n_per_arm": 80}, "imputation": {"min_donor_pool": 6}},
+                          ("metrics.csv", "scenarios.csv", "truth.csv")),
+    "truth": (("truth", "--preset", "setting2", "--n-datasets", 501, "--seed", 3), None,
+              ("truth.csv",)),
+    "analyze": (("analyze", "{csv}", "--m-imputations", 20, "--seed", 3), None,
+                ("estimates.csv",)),
+}
+GOLDEN = {
+    "simulate-setting1": "9ede743597d37db489591afeb065ae4518558e332ed823ac481aad289f53be6e",
+    "simulate-setting2": "1d510a90c68a59d927b3d4c7d300fd78ead7da0f1d66e53076aecbfe2cda5590",
+    "truth": "b7c9d0016f11a9f14f9d94e86e838238596c2a856fdf771f386b76502ce8b4b5",
+    "analyze": "95a46d951571be8cb493524e341c3ec5fdb5fa9f06fa50825ba8ad454937b4e4",
+}
+
+
+@pytest.fixture(scope="module")
+def trial_csv(tmp_path_factory):
+    trialgen = load_trialgen()
+    path = tmp_path_factory.mktemp("golden") / "trial.csv"
+    trialgen.write_csv(path, trialgen.generate(1, n_per_arm=200)[0])
+    return path
+
+
+def data_digest(out_dir, files) -> str:
+    """SHA-256 over each file's name and its rows below the ``# manifest=`` line."""
+    digest = hashlib.sha256()
+    for name in files:
+        lines = (out_dir / name).read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines[0].startswith("# manifest=")
+        digest.update(name.encode() + b"\0" + "".join(lines[1:]).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_golden_output(name, trial_csv, tmp_path):
+    argv, config, files = RUNS[name]
+    argv = [str(a).format(csv=trial_csv) for a in argv]
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "config.json")]
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert data_digest(tmp_path / "out", files) == GOLDEN[name], (
+        f"{name}: fixed-seed output changed. Only a declared random-stream or "
+        "arithmetic change may update these hashes, and it says so in CHANGES.md.")

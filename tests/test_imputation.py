@@ -10,13 +10,15 @@ from trialmi.cli import read_dataset_csv
 from trialmi.core import ADMIN_WITHDRAWAL, ScenarioLabel, VisitGrid, classify_scenario, validate_dataset
 from trialmi.datagen import generate_trial
 from trialmi.errors import ConfigError, ImputationError
+from trialmi import imputation
 from trialmi.estimation import pool_rubin
 from trialmi.imputation import (GATED_ADHERER, GATED_RD, OBSERVED, ImputationConfig,
                                 NormalImputationModel, _extract, fit_donor_model, impute,
                                 impute_matrix, posterior_draws)
 from trialmi.survival import build_sample, fit_survival, prob_disc_before_end
 
-from .helpers import completer, load_trialgen, make_dataset, make_subject, reference_extract
+from .helpers import (completer, load_trialgen, make_dataset, make_subject, reference_extract,
+                      reference_predict)
 
 
 def cfg(method="A", **kw):
@@ -193,6 +195,32 @@ class TestWrappers:
         assert np.allclose(vals, 0.75, atol=1e-2)
 
 
+def trialgen_dataset(tmp_path, seed=3, n_per_arm=150):
+    trialgen = load_trialgen()
+    path = tmp_path / "trialgen.csv"
+    trialgen.write_csv(path, trialgen.generate(seed=seed, n_per_arm=n_per_arm)[0])
+    return read_dataset_csv(path)
+
+
+class TestPrediction:
+    @pytest.mark.parametrize("source", ["setting1", "setting2", "trialgen"])
+    def test_matches_per_target_loop(self, source, tmp_path, monkeypatch):
+        data = trialgen_dataset(tmp_path) if source == "trialgen" else generate_trial(source, seed=4)
+        configs = [cfg(method, m=30, min_donor_pool=12) for method in "ABCD"]
+        configs.append(cfg("A", m=30, min_donor_pool=12, mar_conditioning="baseline-only"))
+        fast = [impute_matrix(data, c, replicate=2) for c in configs]
+        groups = []
+
+        def loop(sigma, beta, design, z):
+            groups.append(design.shape[0])
+            return reference_predict(sigma, beta, design, z)
+        monkeypatch.setattr(imputation, "_predict", loop)
+        for c, got in zip(configs, fast):
+            expected = impute_matrix(data, c, replicate=2)
+            assert np.array_equal(got.endpoints, expected.endpoints), c.method
+        assert sum(groups) > len(data.subjects) and max(groups) > 1
+
+
 def no_s52_dataset(seed=5):
     params = generate_trial("setting2", seed=seed).grid  # grid only
     import dataclasses
@@ -354,6 +382,28 @@ class TestMethodLaws:
         assert (res.provenance_codes[:, column(data, "W1")] == GATED_ADHERER).all()
         assert "no observed discontinuation in arm 1: gate probability 0" in res.fallback_events
         assert not any("arm 0" in e for e in res.fallback_events)
+
+
+    def test_separation_fallback_is_a_fallback_event(self):
+        # Each control discontinuation has the highest baseline of its risk
+        # set, so the partial likelihood is monotone.
+        subjects = [completer(-0.2 - 0.02 * j, disc=6.0 + 6 * j, baseline=9.5 - 0.1 * j) for j in range(6)]
+        subjects += [completer(-1.0 + 0.03 * j, baseline=6.0 + 0.1 * j) for j in range(10)]
+        subjects += [completer(-1.5 + 0.03 * j, arm=1, baseline=6.0 + 0.3 * j) for j in range(10)]
+        subjects.append(make_subject([-0.4, None, None, None], withdraw=13.0,
+                                     withdraw_type=ADMIN_WITHDRAWAL, baseline=6.5, subject_id="W"))
+        data = make_dataset(subjects)
+        assert validate_dataset(data) == []
+        with pytest.warns(UserWarning, match="monotone"):
+            res = impute_matrix(data, cfg("C", m=20))
+        assert res.fallback_events == ("monotone partial likelihood in arm 0: product-limit gate",)
+        with pytest.warns(UserWarning, match="monotone"):
+            model = fit_survival(build_sample(data, 0))
+        assert model.separation_fallback
+        p_hat = prob_disc_before_end(model, 13.0, 48.0, [6.5])
+        assert 0 < p_hat < 1
+        rd = res.provenance_codes[:, column(data, "W")] == GATED_RD
+        assert rd.any() and not rd.all()
 
 
 class TestCompletedDatasets:

@@ -1,13 +1,19 @@
-"""Replicate-runner tests: worker-count independence and the failure policy."""
+"""Replicate-runner tests: worker-count independence, the failure policy, and
+the analysis pipeline's shared work across methods."""
 import dataclasses
 
+import numpy as np
 import pytest
 
-from trialmi import simharness
-from trialmi.datagen import setting_preset
+from trialmi import imputation, simharness
+from trialmi.cli import read_dataset_csv
+from trialmi.datagen import generate_trial, setting_preset
 from trialmi.errors import ImputationError, SimulationError
+from trialmi.estimation import estimate_matrix
 from trialmi.imputation import ImputationConfig
-from trialmi.simharness import SimPlan, run_plan
+from trialmi.simharness import ESTIMANDS, SimPlan, analyze_dataset, run_plan
+
+from .helpers import completer, load_trialgen, make_dataset, make_subject, reference_pool_rubin
 
 PARAMS = dataclasses.replace(setting_preset("setting1"), n_per_arm=60)
 
@@ -51,3 +57,103 @@ def test_programming_error_aborts_the_plan(monkeypatch):
     fail_replicate(monkeypatch, 1, ValueError("not a typed failure"))
     with pytest.raises(ValueError, match="not a typed failure"):
         run_plan(plan(max_failure_fraction=1.0))
+
+
+def small_trial():
+    return generate_trial(dataclasses.replace(setting_preset("setting2"), n_per_arm=80), 5, replicate=1)
+
+
+def trialgen_trial(tmp_path):
+    trialgen = load_trialgen()
+    trialgen.write_csv(tmp_path / "trial.csv", trialgen.generate(seed=3, n_per_arm=150)[0])
+    return read_dataset_csv(tmp_path / "trial.csv")
+
+
+def configs(methods, **kw):
+    return [ImputationConfig(method=m, **{"m": 12, "seed": 5, "min_donor_pool": 6, **kw}) for m in methods]
+
+
+MIXED = [ImputationConfig(method="A", m=12, seed=5, min_donor_pool=6),
+         ImputationConfig(method="B", m=9, seed=5, min_donor_pool=6),
+         ImputationConfig(method="C", m=12, seed=6, min_donor_pool=6),
+         ImputationConfig(method="D", m=12, seed=5, min_donor_pool=10)]
+CASES = {
+    "DCBA": configs("DCBA"), "A": configs("A"), "C": configs("C"), "D": configs("D"),
+    "BA-baseline-only": configs("BA", mar_conditioning="baseline-only"),
+    "mixed": MIXED,
+    "mixed-conditioning": [ImputationConfig(method="A", m=12, seed=5, min_donor_pool=6),
+                           ImputationConfig(method="C", m=12, seed=5, min_donor_pool=6,
+                                            mar_conditioning="baseline-only")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("source", ["setting1", "small-setting2", "trialgen"])
+def test_shared_work_matches_separate_calls(case, source, tmp_path, monkeypatch):
+    data = {"setting1": lambda: generate_trial("setting1", 5, replicate=2),
+            "small-setting2": small_trial, "trialgen": lambda: trialgen_trial(tmp_path)}[source]()
+    calls = []
+    impute = simharness.impute_matrix
+
+    def recording(dataset, cfg, **kw):
+        calls.append((cfg, impute(dataset, cfg, **kw)))
+        return calls[-1][1]
+    monkeypatch.setattr(simharness, "impute_matrix", recording)
+    pooled = analyze_dataset(data, CASES[case], 0.9, replicate=3)
+
+    arms = np.array([s.arm for s in data.subjects])
+    n0, n1 = int((arms == 0).sum()), int((arms == 1).sum())
+    com_df = {"control": n0 - 1, "treatment": n1 - 1, "difference": n0 + n1 - 2}
+    assert [cfg for cfg, _ in calls] == CASES[case]
+    for cfg, got in calls:
+        fresh = imputation.impute_matrix(data, cfg, replicate=3)
+        assert np.array_equal(got.endpoints, fresh.endpoints)
+        assert np.array_equal(got.provenance_codes, fresh.provenance_codes)
+        assert got.fallback_events == fresh.fallback_events
+        est = estimate_matrix(arms, fresh.endpoints)
+        for estimand in ESTIMANDS:
+            key = estimand if estimand == "difference" else f"mean_{estimand}"
+            vkey = "var_difference" if estimand == "difference" else f"var_{estimand}"
+            p = pooled[cfg.method][estimand]
+            assert (p.point, p.within, p.between, p.total, p.df, p.ci_low, p.ci_high) == \
+                reference_pool_rubin(list(zip(est[key], est[vkey])), 0.9, com_df[estimand])
+
+
+def test_shared_work_makes_fewer_donor_fits(monkeypatch):
+    data = small_trial()
+    fits = []
+    fit = imputation.fit_donor_model
+    monkeypatch.setattr(imputation, "fit_donor_model", lambda *a, **kw: fits.append(1) or fit(*a, **kw))
+    analyze_dataset(data, configs("ABC"), 0.95)
+    shared = len(fits)
+    fits.clear()
+    for cfg in configs("ABC"):
+        analyze_dataset(data, [cfg], 0.95)
+    assert 0 < shared < len(fits)
+
+
+def test_method_skips_donor_groups_it_does_not_use():
+    # Too few adherent completers for any MAR fit, but no S2 subject: B never
+    # asks for one, while A imputes the withdrawn from adherers.
+    subjects = [completer(-1.0 + 0.1 * j, arm=arm, baseline=7 + 0.2 * j) for arm in (0, 1) for j in range(2)]
+    subjects += [completer(-0.3 - 0.02 * j, arm=arm, disc=12.0, baseline=7 + 0.1 * j)
+                 for arm in (0, 1) for j in range(8)]
+    subjects += [make_subject([-0.2, None, None, None], arm=arm, withdraw=20.0) for arm in (0, 1)]
+    data = make_dataset(subjects)
+    assert set(analyze_dataset(data, configs("BD"), 0.95)) == {"B", "D"}
+    with pytest.raises(ImputationError, match="pooling arms"):
+        analyze_dataset(data, configs("BA"), 0.95)
+
+
+def test_shared_fit_keeps_each_configs_donor_threshold():
+    # Three retrieved dropouts per arm: pooled, six donors pass a threshold
+    # of 4 but not one of 8, even when a config with 4 already fit them.
+    subjects = [completer(-1.0 + 0.1 * j, arm=arm, baseline=7 + 0.2 * j) for arm in (0, 1) for j in range(10)]
+    subjects += [completer(-0.3 - 0.02 * j, arm=arm, disc=12.0, baseline=7 + 0.3 * j)
+                 for arm in (0, 1) for j in range(3)]
+    subjects += [make_subject([-0.2, None, None, None], arm=arm, disc=24.0) for arm in (0, 1)]
+    data = make_dataset(subjects)
+    low, high = (ImputationConfig(method=m, m=6, min_donor_pool=k) for m, k in (("A", 4), ("B", 8)))
+    assert set(analyze_dataset(data, [low], 0.95)) == {"A"}
+    with pytest.raises(ImputationError, match="pooling arms"):
+        analyze_dataset(data, [low, high], 0.95)
