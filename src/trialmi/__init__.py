@@ -7,10 +7,8 @@ from .core import (DEFAULT_GRID, ScenarioLabel, SubjectRecord, TrialDataset,
                    VisitGrid, classify_scenario, scenario_counts, validate_dataset)
 from .datagen import (GenParams, TrueValues, generate_trial, generate_truth,
                       setting_preset)
-from .estimation import (CompleteEstimate, PooledEstimate, coverage_indicator,
-                         estimate_complete, pool_rubin)
-from .imputation import (METHODS, CompletedDataset, ImputationConfig, impute,
-                         impute_matrix)
+from .estimation import PooledEstimate, estimate_matrix, pool_rubin
+from .imputation import METHODS, ImputationConfig, ImputationResult, impute_matrix
 from .simharness import MetricsTable, SimPlan, run_plan, summarize_scenarios
 from .survival import (SurvivalModel, SurvivalSample, build_sample,
                        conditional_survival, fit_survival, prob_disc_before_end)
@@ -20,9 +18,8 @@ __all__ = [
     "DEFAULT_GRID", "ScenarioLabel", "SubjectRecord", "TrialDataset", "VisitGrid",
     "classify_scenario", "scenario_counts", "validate_dataset",
     "GenParams", "TrueValues", "generate_trial", "generate_truth", "setting_preset",
-    "CompleteEstimate", "PooledEstimate", "coverage_indicator", "estimate_complete",
-    "pool_rubin",
-    "METHODS", "CompletedDataset", "ImputationConfig", "impute", "impute_matrix",
+    "PooledEstimate", "estimate_matrix", "pool_rubin",
+    "METHODS", "ImputationConfig", "ImputationResult", "impute_matrix",
     "MetricsTable", "SimPlan", "run_plan", "summarize_scenarios",
     "SurvivalModel", "SurvivalSample", "build_sample", "conditional_survival",
     "fit_survival", "prob_disc_before_end",

@@ -52,12 +52,8 @@ def _fmt(x: float) -> str:
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # input errors exit with code 1
         self.print_usage(sys.stderr)
-        raise SystemExit(self._input_error(message))
-
-    @staticmethod
-    def _input_error(message: str) -> int:
         print(f"error: {message}", file=sys.stderr)
-        return 1
+        raise SystemExit(1)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -143,21 +139,32 @@ def _resolve_gen_params(config: dict, preset_flag: Optional[str]) -> tuple[GenPa
     return params, preset
 
 
-def _workers(args, config: dict) -> int:
-    if getattr(args, "workers", None) is not None:
-        return args.workers
-    if "workers" in config.get("plan", {}) and config["plan"]["workers"] is not None:
-        return int(config["plan"]["workers"])
-    env = os.environ.get(WORKERS_ENV)
-    return int(env) if env else 1
+def _cast(value, kind: type, name: str):
+    """``value`` as an int or a float, or a ConfigError that names the setting."""
+    try:
+        out = kind(value)
+        if kind is int and out != float(value):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be {'an integer' if kind is int else 'a number'}, "
+                          f"got {value!r}") from None
+    return out
 
 
-def _pick(args_value, config: dict, section: str, key: str, default):
+def _pick(args_value, config: dict, section: str, key: str, default, kind: type):
+    """The flag's value, else the config's cast to ``kind``, else the default."""
     if args_value is not None:
         return args_value
-    if key in config.get(section, {}) and config[section][key] is not None:
-        return config[section][key]
-    return default
+    value = config.get(section, {}).get(key)
+    return default if value is None else _cast(value, kind, f"{section}.{key}")
+
+
+def _workers(args, config: dict) -> int:
+    workers = _pick(getattr(args, "workers", None), config, "plan", "workers", None, int)
+    if workers is not None:
+        return workers
+    env = os.environ.get(WORKERS_ENV)
+    return _cast(env, int, WORKERS_ENV) if env else 1
 
 
 def _imputation_config(config: dict, m_flag: Optional[int]) -> ImputationConfig:
@@ -176,16 +183,18 @@ def _imputation_identity(cfg: ImputationConfig) -> dict:
 
 
 def _parse_methods(text: Optional[str], config: dict) -> tuple[str, ...]:
-    if text is None:
-        cfg = config.get("plan", {}).get("methods")
-        if cfg is None:
-            return METHODS
-        methods = tuple(str(m).strip().upper() for m in cfg)
+    """--methods, else plan.methods, else every method. A string is split at
+    commas, as the flag is; a config list names one method per entry."""
+    value = text if text is not None else config.get("plan", {}).get("methods")
+    if value is None:
+        return METHODS
+    if isinstance(value, str):
+        parts = [p for p in value.split(",") if p.strip()]
     else:
-        methods = tuple(part.strip().upper() for part in text.split(",") if part.strip())
-    bad = [m for m in methods if m not in METHODS]
-    if bad or not methods:
-        raise ConfigError(f"methods must be a nonempty subset of {','.join(METHODS)}; got {text!r}")
+        parts = value if isinstance(value, list) else []
+    methods = tuple(str(m).strip().upper() for m in parts)
+    if not methods or any(m not in METHODS for m in methods):
+        raise ConfigError(f"methods must be a nonempty subset of {','.join(METHODS)}; got {value!r}")
     return methods
 
 
@@ -304,11 +313,10 @@ def read_dataset_csv(path: Path) -> TrialDataset:
             continue
         subjects.append(SubjectRecord(
             id=cell[col["id"]], arm=int(arm_text), baseline=baseline, outcomes=outcomes,
-            missing=tuple(v is None for v in outcomes), disc_time=disc,
-            withdraw_time=withdraw, withdraw_type=type_map[type_text]))
+            disc_time=disc, withdraw_time=withdraw, withdraw_type=type_map[type_text]))
     if problems:
         raise ValidationError("\n".join(problems))
-    return TrialDataset(grid=grid, subjects=tuple(subjects), provenance=f"ingested {path}")
+    return TrialDataset(grid=grid, subjects=tuple(subjects))
 
 
 # ---------------------------------------------------------------------------
@@ -321,13 +329,13 @@ def cmd_simulate(args) -> int:
     methods = _parse_methods(args.methods, config)
     plan = SimPlan(
         params=params,
-        n_replicates=int(_pick(args.reps, config, "plan", "n_replicates", 100)),
+        n_replicates=_pick(args.reps, config, "plan", "n_replicates", 100, int),
         methods=methods,
         imputation=_imputation_config(config, args.m_imputations),
-        seed=int(_pick(args.seed, config, "plan", "seed", 0)),
+        seed=_pick(args.seed, config, "plan", "seed", 0, int),
         workers=_workers(args, config),
-        truth_n_datasets=int(_pick(args.truth_datasets, config, "plan", "truth_n_datasets", 20000)),
-        ci_level=float(_pick(args.level, config, "plan", "ci_level", 0.95)),
+        truth_n_datasets=_pick(args.truth_datasets, config, "plan", "truth_n_datasets", 20000, int),
+        ci_level=_pick(args.level, config, "plan", "ci_level", 0.95, float),
     )
     table = run_plan(plan)
 
@@ -345,7 +353,7 @@ def cmd_simulate(args) -> int:
                 for r in table.rows])
     arm_name = {0: "control", 1: "treatment"}
     _write_csv(out_dir / "scenarios.csv", mid, ["arm", "scenario", "mean_count", "mean_pct"],
-               [[arm_name[arm], label.value, _fmt(cnt), _fmt(pct)]
+               [[arm_name[arm], label.name, _fmt(cnt), _fmt(pct)]
                 for (arm, label), (cnt, pct) in table.scenario_summary.items()])
     _write_truth_csv(out_dir, mid, table.truth)
     print(f"wrote metrics.csv, scenarios.csv, truth.csv, manifest.json to {out_dir}"
@@ -356,8 +364,8 @@ def cmd_simulate(args) -> int:
 def cmd_truth(args) -> int:
     config = _load_config(args.config, args.command)
     params, preset = _resolve_gen_params(config, args.preset)
-    seed = int(_pick(args.seed, config, "plan", "seed", 0))
-    n_datasets = int(_pick(args.n_datasets, config, "plan", "truth_n_datasets", 20000))
+    seed = _pick(args.seed, config, "plan", "seed", 0, int)
+    n_datasets = _pick(args.n_datasets, config, "plan", "truth_n_datasets", 20000, int)
     truth = generate_truth(params, n_datasets, seed)
     out_dir = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -371,16 +379,18 @@ def cmd_truth(args) -> int:
 
 def cmd_analyze(args) -> int:
     config = _load_config(args.config, args.command)
+    methods = _parse_methods(args.methods, config)
+    seed = _pick(args.seed, config, "plan", "seed", 0, int)
+    level = _pick(args.level, config, "plan", "ci_level", 0.95, float)
+    if not 0 < level < 1:
+        raise ConfigError(f"ci_level must lie in (0, 1), got {level!r}")
+    imputation = _imputation_config(config, args.m_imputations)
     dataset = read_dataset_csv(args.dataset)
     violations = validate_dataset(dataset)
     if violations:
         for v in violations:
             print(f"error: subject {v.subject_id}: {v.message}", file=sys.stderr)
         return 1
-    methods = _parse_methods(args.methods, config)
-    seed = int(_pick(args.seed, config, "plan", "seed", 0))
-    level = float(_pick(args.level, config, "plan", "ci_level", 0.95))
-    imputation = _imputation_config(config, args.m_imputations)
     configs = [dataclasses.replace(imputation, method=m, seed=seed) for m in methods]
     rows = [[method, estimand, _fmt(p.point), _fmt(p.total ** 0.5), _fmt(p.ci_low), _fmt(p.ci_high)]
             for method, by_estimand in analyze_dataset(dataset, configs, level).items()

@@ -48,14 +48,15 @@ class VisitGrid:
 DEFAULT_GRID = VisitGrid()
 
 
-class ScenarioLabel(enum.Enum):
-    """Partition of subjects by discontinuation, withdrawal, and endpoint missingness."""
+class ScenarioLabel(enum.IntEnum):
+    """Partition of subjects by discontinuation, withdrawal, and endpoint
+    missingness. The integer value is the scenario code in array form."""
 
-    S1 = "S1"        # completed on treatment, endpoint observed
-    S2 = "S2"        # completed on treatment, endpoint missing for logistic reasons
-    S3 = "S3"        # discontinued treatment early, endpoint observed (retrieved dropout)
-    S4_51 = "S4_51"  # discontinuation (or non-administrative withdrawal), endpoint missing
-    S52 = "S52"      # administrative withdrawal censoring treatment discontinuation
+    S1 = 0      # completed on treatment, endpoint observed
+    S2 = 1      # completed on treatment, endpoint missing for logistic reasons
+    S3 = 2      # discontinued treatment early, endpoint observed (retrieved dropout)
+    S4_51 = 3   # discontinuation (or non-administrative withdrawal), endpoint missing
+    S52 = 4     # administrative withdrawal censoring treatment discontinuation
 
 
 @dataclass(frozen=True)
@@ -63,17 +64,16 @@ class SubjectRecord:
     """One subject's observed trial data.
 
     ``outcomes[k]`` is the change from baseline at ``grid.times[k]`` or None
-    when missing; ``missing[k]`` mirrors that.  ``disc_time`` is the week the
-    subject was observed to stop treatment (None if never observed),
-    ``withdraw_time``/``withdraw_type`` describe study withdrawal, with type
-    defined only when a withdrawal week is present.
+    when missing, the one record of which visits are missing.  ``disc_time``
+    is the week the subject was observed to stop treatment (None if never
+    observed), ``withdraw_time``/``withdraw_type`` describe study withdrawal,
+    with type defined only when a withdrawal week is present.
     """
 
     id: str
     arm: int
     baseline: float
     outcomes: tuple[Optional[float], ...]
-    missing: tuple[bool, ...]
     disc_time: Optional[float] = None
     withdraw_time: Optional[float] = None
     withdraw_type: Optional[int] = None
@@ -83,8 +83,12 @@ class SubjectRecord:
         return self.outcomes[-1]
 
     @property
+    def missing(self) -> tuple[bool, ...]:
+        return tuple(y is None for y in self.outcomes)
+
+    @property
     def endpoint_missing(self) -> bool:
-        return self.missing[-1]
+        return self.outcomes[-1] is None
 
 
 @dataclass(frozen=True)
@@ -93,7 +97,6 @@ class TrialDataset:
 
     grid: VisitGrid
     subjects: tuple[SubjectRecord, ...]
-    provenance: str = ""
 
 
 @dataclass(frozen=True)
@@ -111,12 +114,10 @@ def record_violations(subject: SubjectRecord, grid: VisitGrid) -> list[str]:
         out.append(f"arm must be 0 or 1, got {subject.arm!r}")
     if not math.isfinite(subject.baseline):
         out.append("baseline is not finite")
-    if len(subject.outcomes) != k or len(subject.missing) != k:
-        out.append(f"expected {k} visit entries, got {len(subject.outcomes)} outcomes / {len(subject.missing)} flags")
+    if len(subject.outcomes) != k:
+        out.append(f"expected {k} visit entries, got {len(subject.outcomes)}")
         return out
-    for j, (y, miss) in enumerate(zip(subject.outcomes, subject.missing)):
-        if (y is None) != miss:
-            out.append(f"visit {j}: outcome presence contradicts missing flag")
+    for j, y in enumerate(subject.outcomes):
         if y is not None and not math.isfinite(y):
             out.append(f"visit {j}: outcome is not finite")
     u, v, w_type = subject.disc_time, subject.withdraw_time, subject.withdraw_type
@@ -131,7 +132,7 @@ def record_violations(subject: SubjectRecord, grid: VisitGrid) -> list[str]:
         out.append("treatment discontinuation recorded after study withdrawal")
     if v is not None:
         for j, t in enumerate(grid.times):
-            if t > v and not subject.missing[j]:
+            if t > v and subject.outcomes[j] is not None:
                 out.append(f"visit {j} (week {t:g}) observed after withdrawal at week {v:g}")
     return out
 
@@ -139,8 +140,8 @@ def record_violations(subject: SubjectRecord, grid: VisitGrid) -> list[str]:
 def classify_scenario(subject: SubjectRecord, grid: VisitGrid) -> ScenarioLabel:
     """Assign the subject to exactly one scenario.
 
-    The rules key on treatment discontinuation before the study end, the
-    endpoint missing flag, and whether a recorded withdrawal could have caused
+    The rules key on treatment discontinuation before the study end, whether
+    the endpoint is missing, and whether a recorded withdrawal could have caused
     the missing endpoint (withdrawal strictly before the endpoint week).  A
     non-administrative withdrawal with no prior discontinuation counts as a
     discontinuation at the withdrawal week; an administrative one censors it.

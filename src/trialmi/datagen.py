@@ -12,7 +12,7 @@ after it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -229,21 +229,18 @@ def assemble_subject(subject_id: str, x: float, arm: int, y_tp: np.ndarray,
         p = params.p_miss_retained_dropout if disc_time < d else params.p_miss_completer
         if rng.random() < p:
             missing[-1] = True
-    outcomes = tuple(None if m else float(y_tp[k]) for k, m in enumerate(missing))
     return SubjectRecord(
         id=subject_id,
         arm=arm,
         baseline=float(x),
-        outcomes=outcomes,
-        missing=tuple(missing),
+        outcomes=tuple(None if m else float(y_tp[k]) for k, m in enumerate(missing)),
         disc_time=u,
         withdraw_time=v,
         withdraw_type=ADMIN_WITHDRAWAL if v is not None else None,
     )
 
 
-def generate_trial(params: Union[GenParams, str], seed: int, *, replicate: int = 0,
-                   provenance: Optional[str] = None) -> TrialDataset:
+def generate_trial(params: Union[GenParams, str], seed: int, *, replicate: int = 0) -> TrialDataset:
     """One fully generated trial, deterministic in (seed, replicate)."""
     p = resolve_params(params)
     rng = substream(seed, TRIAL_NS, replicate)
@@ -257,9 +254,7 @@ def generate_trial(params: Union[GenParams, str], seed: int, *, replicate: int =
         y_tp = treatment_policy_trajectory(y_hyp, arm, t_a, p)
         v = simulate_withdrawal(rng, p)
         subjects.append(assemble_subject(f"S{j + 1:04d}", x, arm, y_tp, t_a, v, rng, p))
-    if provenance is None:
-        provenance = f"generated seed={seed} replicate={replicate} n_per_arm={p.n_per_arm}"
-    return TrialDataset(grid=p.grid, subjects=tuple(subjects), provenance=provenance)
+    return TrialDataset(grid=p.grid, subjects=tuple(subjects))
 
 
 def _complete_endpoint_means(rng: np.random.Generator, params: GenParams, n_datasets: int,

@@ -13,10 +13,6 @@ class ValidationError(TrialMIError, ValueError):
     """A trial record or dataset violates a structural invariant."""
 
 
-class GenerationError(TrialMIError, RuntimeError):
-    """Trial generation reached an unusable intermediate state."""
-
-
 class SurvivalError(TrialMIError, RuntimeError):
     """Survival-model fitting or evaluation failed."""
 

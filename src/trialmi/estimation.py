@@ -15,17 +15,6 @@ import numpy as np
 from scipy.special import stdtrit
 
 from .errors import EstimationError
-from .imputation import CompletedDataset
-
-
-@dataclass(frozen=True)
-class CompleteEstimate:
-    mean_control: float
-    mean_treatment: float
-    difference: float
-    var_control: float
-    var_treatment: float
-    var_difference: float
 
 
 @dataclass(frozen=True)
@@ -41,30 +30,8 @@ class PooledEstimate:
     m: int
 
 
-def _arm_stats(values: np.ndarray, label: str) -> tuple[float, float]:
-    if values.size == 0:
-        raise EstimationError(f"no subjects in the {label} arm")
-    if values.size < 2:
-        raise EstimationError(f"need at least 2 subjects in the {label} arm for a variance")
-    mean = float(values.mean())
-    var_of_mean = float(values.var(ddof=1)) / values.size
-    return mean, var_of_mean
-
-
-def estimate_complete(completed: CompletedDataset) -> CompleteEstimate:
-    """Per-arm endpoint means, their sampling variances, and the difference."""
-    endpoints = np.asarray(completed.endpoints, dtype=float)
-    if np.isnan(endpoints).any():
-        raise EstimationError("completed dataset still has missing endpoints")
-    arms = np.array([s.arm for s in completed.dataset.subjects])
-    m0, v0 = _arm_stats(endpoints[arms == 0], "control")
-    m1, v1 = _arm_stats(endpoints[arms == 1], "treatment")
-    return CompleteEstimate(mean_control=m0, mean_treatment=m1, difference=m1 - m0,
-                            var_control=v0, var_treatment=v1, var_difference=v0 + v1)
-
-
 def estimate_matrix(arms: np.ndarray, endpoints: np.ndarray) -> dict[str, np.ndarray]:
-    """Vectorized `estimate_complete` over an (m, n) endpoint matrix."""
+    """Per-round arm means, difference and their sampling variances, as (m,) arrays."""
     arms = np.asarray(arms)
     e = np.asarray(endpoints, dtype=float)
     out: dict[str, np.ndarray] = {}
@@ -121,8 +88,3 @@ def pool_rubin(estimates: Sequence[tuple[float, float]] | np.ndarray, level: flo
     half = float(stdtrit(df, (1.0 + level) / 2.0)) * math.sqrt(t) if t > 0 else 0.0
     return PooledEstimate(point=qbar, within=w, between=b, total=t, df=df, level=level,
                           ci_low=qbar - half, ci_high=qbar + half, m=m)
-
-
-def coverage_indicator(pooled: PooledEstimate, truth: float) -> bool:
-    """True iff the truth lies in the closed pooled interval."""
-    return pooled.ci_low <= truth <= pooled.ci_high

@@ -43,12 +43,6 @@ VARIANCE_FLOOR = 1e-8
 
 # Provenance codes per imputed value.
 OBSERVED, MAR_ADHERER, RETRIEVED_DROPOUT, POOLED, GATED_ADHERER, GATED_RD = range(6)
-PROVENANCE_TAGS = ("observed", "mar-adherer", "retrieved-dropout", "pooled",
-                   "gated-adherer", "gated-rd")
-
-_S1, _S2, _S3, _S4, _S52 = range(5)
-_SCEN_CODE = {ScenarioLabel.S1: _S1, ScenarioLabel.S2: _S2, ScenarioLabel.S3: _S3,
-              ScenarioLabel.S4_51: _S4, ScenarioLabel.S52: _S52}
 
 _ARM_POOLED = 2  # stream scope code when donor arms are pooled
 
@@ -92,16 +86,6 @@ class NormalImputationModel:
 
 
 @dataclass(frozen=True)
-class CompletedDataset:
-    """One imputation round: every endpoint present, observed values untouched."""
-
-    dataset: TrialDataset
-    endpoints: np.ndarray
-    provenance: tuple[str, ...]
-    fallback_events: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class ImputationResult:
     """All rounds at once: (m, n) endpoint and provenance-code matrices."""
 
@@ -113,14 +97,6 @@ class ImputationResult:
     def m(self) -> int:
         return self.endpoints.shape[0]
 
-    def completed(self, dataset: TrialDataset) -> list[CompletedDataset]:
-        out = []
-        for row, codes in zip(self.endpoints, self.provenance_codes):
-            tags = tuple(PROVENANCE_TAGS[c] for c in codes)
-            out.append(CompletedDataset(dataset=dataset, endpoints=row.copy(),
-                                        provenance=tags, fallback_events=self.fallback_events))
-        return out
-
 
 @dataclass(frozen=True)
 class _Arrays:
@@ -129,7 +105,7 @@ class _Arrays:
     arm: np.ndarray
     x: np.ndarray
     y: np.ndarray           # (n, K), nan where missing
-    scen: np.ndarray        # int codes
+    scen: np.ndarray        # ScenarioLabel codes
     last_obs: np.ndarray    # last observed pre-endpoint visit index, -1 if none
     withdraw: np.ndarray    # nan where absent
 
@@ -140,7 +116,7 @@ def _extract(dataset: TrialDataset) -> _Arrays:
     subjects = dataset.subjects
     n = len(subjects)
     # Classifying first validates every record, so the arrays below are well formed.
-    scen = np.array([_SCEN_CODE[classify_scenario(s, grid)] for s in subjects], dtype=int)
+    scen = np.array([classify_scenario(s, grid) for s in subjects], dtype=int)
     arm = np.array([s.arm for s in subjects], dtype=int)
     x = np.array([s.baseline for s in subjects], dtype=float)
     y = np.array([s.outcomes for s in subjects], dtype=float).reshape(n, k)  # None -> nan
@@ -192,10 +168,10 @@ def posterior_draws(model: NormalImputationModel, rng: np.random.Generator, m: i
     return sigma, beta
 
 
-def _donor_rows(arr: _Arrays, scen_code: int, arm: int, visit: int) -> np.ndarray:
+def _donor_rows(arr: _Arrays, scen: ScenarioLabel, arm: int, visit: int) -> np.ndarray:
     """Indices usable as donors: given scenario and arm, complete on the
     conditioning visit (visit = -1 means baseline-only)."""
-    ok = (arr.scen == scen_code) & (arr.arm == arm) & ~np.isnan(arr.y[:, -1])
+    ok = (arr.scen == scen) & (arr.arm == arm) & ~np.isnan(arr.y[:, -1])
     if visit >= 0:
         ok &= ~np.isnan(arr.y[:, visit])
     return np.flatnonzero(ok)
@@ -210,7 +186,7 @@ def _build_design(arr: _Arrays, rows: np.ndarray, visit: int, pooled: bool) -> n
     return np.column_stack(cols)
 
 
-def _value_draws(arr: _Arrays, targets: np.ndarray, donor_scen: int, purpose: int,
+def _value_draws(arr: _Arrays, targets: np.ndarray, donor_scen: ScenarioLabel, purpose: int,
                  per_visit: bool, cfg: ImputationConfig, replicate: int,
                  z: np.ndarray, fallback: set[str], fits: dict) -> np.ndarray:
     """Posterior-predictive endpoint draws, (m, n) with the target columns filled.
@@ -229,7 +205,7 @@ def _value_draws(arr: _Arrays, targets: np.ndarray, donor_scen: int, purpose: in
         if pooled:
             donors = np.concatenate([_donor_rows(arr, donor_scen, 0, visit),
                                      _donor_rows(arr, donor_scen, 1, visit)])
-            label = "adherent" if donor_scen == _S1 else "retrieved-dropout"
+            label = "adherent" if donor_scen is ScenarioLabel.S1 else "retrieved-dropout"
             fallback.add(f"{label} donors pooled across arms"
                          + (f" (conditioning visit {visit})" if visit >= 0 else ""))
         scope = _ARM_POOLED if pooled else arm
@@ -285,10 +261,10 @@ def _pooled_donor_values(arr: _Arrays, targets: np.ndarray, out: np.ndarray,
         group = targets[arr.arm[targets] == arm]
         if not group.size:
             continue
-        donors = np.flatnonzero((arr.scen != _S52) & (arr.arm == arm))
+        donors = np.flatnonzero((arr.scen != ScenarioLabel.S52) & (arr.arm == arm))
         pooled = donors.size < cfg.min_donor_pool
         if pooled:
-            donors = np.flatnonzero(arr.scen != _S52)
+            donors = np.flatnonzero(arr.scen != ScenarioLabel.S52)
             fallback.add("endpoint donors pooled across arms")
         try:
             model = fit_donor_model(_build_design(arr, donors, -1, pooled), out[:, donors].T,
@@ -320,15 +296,18 @@ def impute_matrix(dataset: TrialDataset, cfg: ImputationConfig, *, replicate: in
     prov = np.zeros((m, n), dtype=np.int8)
     fallback: set[str] = set()
 
-    s2, s4, s52 = (np.flatnonzero(arr.scen == code) for code in (_S2, _S4, _S52))
+    s2, s4, s52 = (np.flatnonzero(arr.scen == label)
+                   for label in (ScenarioLabel.S2, ScenarioLabel.S4_51, ScenarioLabel.S52))
     # Withdrawn (S5.2) subjects take adherer draws under A, retrieved-dropout
     # draws under B and either one, by their gate, under C. Under D they are
     # drawn last, from a refit on everyone else's completed endpoints.
     mar_targets = np.concatenate([s2, s52]) if cfg.method in ("A", "C") else s2
     rd_targets = np.concatenate([s4, s52]) if cfg.method in ("B", "C") else s4
     per_visit = cfg.mar_conditioning == MONOTONE_SEQUENTIAL
-    mar = _value_draws(arr, mar_targets, _S1, PUR_MAR_PARAMS, per_visit, cfg, replicate, z, fallback, shared)
-    rd = _value_draws(arr, rd_targets, _S3, PUR_RD_PARAMS, False, cfg, replicate, z, fallback, shared)
+    mar = _value_draws(arr, mar_targets, ScenarioLabel.S1, PUR_MAR_PARAMS, per_visit, cfg, replicate,
+                       z, fallback, shared)
+    rd = _value_draws(arr, rd_targets, ScenarioLabel.S3, PUR_RD_PARAMS, False, cfg, replicate,
+                      z, fallback, shared)
     out[:, s2], prov[:, s2] = mar[:, s2], MAR_ADHERER
     out[:, s4], prov[:, s4] = rd[:, s4], RETRIEVED_DROPOUT
 
@@ -349,8 +328,3 @@ def impute_matrix(dataset: TrialDataset, cfg: ImputationConfig, *, replicate: in
         raise ImputationError("imputation left missing endpoints behind")
     return ImputationResult(endpoints=out, provenance_codes=prov,
                             fallback_events=tuple(sorted(fallback)))
-
-
-def impute(dataset: TrialDataset, cfg: ImputationConfig, *, replicate: int = 0) -> list[CompletedDataset]:
-    """m completed datasets under the configured method."""
-    return impute_matrix(dataset, cfg, replicate=replicate).completed(dataset)

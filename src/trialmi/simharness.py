@@ -50,6 +50,8 @@ class SimPlan:
             raise ConfigError(f"methods must be a nonempty subset of {METHODS}, got {self.methods}")
         if len(set(self.methods)) != len(self.methods):
             raise ConfigError("methods must not repeat")
+        if not 0 < self.ci_level < 1:
+            raise ConfigError(f"ci_level must lie in (0, 1), got {self.ci_level!r}")
 
 
 @dataclass(frozen=True)
@@ -70,12 +72,6 @@ class MetricsTable:
     n_replicates: int
     n_excluded: int
     failures: tuple[str, ...]
-
-    def row(self, method: str, estimand: str) -> MetricsRow:
-        for r in self.rows:
-            if r.method == method and r.estimand == estimand:
-                return r
-        raise KeyError((method, estimand))
 
 
 def analyze_dataset(dataset: TrialDataset, configs: Sequence[ImputationConfig], level: float,

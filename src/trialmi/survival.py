@@ -11,8 +11,7 @@ estimator.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -45,7 +44,6 @@ class SurvivalSample:
     time: np.ndarray
     event: np.ndarray
     covariates: np.ndarray
-    arm: int | None = None
 
     def __post_init__(self) -> None:
         t = np.asarray(self.time, dtype=float)
@@ -101,7 +99,7 @@ def build_sample(dataset: TrialDataset, arm: int) -> SurvivalSample:
         events.append(e)
         covs.append([subject.baseline])
     return SurvivalSample(time=np.array(times), event=np.array(events, dtype=bool),
-                          covariates=np.array(covs, dtype=float), arm=arm)
+                          covariates=np.array(covs, dtype=float))
 
 
 def _breslow_parts(beta: np.ndarray, time: np.ndarray, event: np.ndarray, x: np.ndarray):
@@ -168,8 +166,8 @@ def _fit_km(time: np.ndarray, event: np.ndarray, *, fallback: bool = False) -> S
 
 
 def fit_survival(sample: SurvivalSample, kind: str = PROPORTIONAL_HAZARDS) -> SurvivalModel:
-    """Fit the requested estimator; falls back to the covariate-free one
-    (with a warning flag) when the partial likelihood is monotone."""
+    """Fit the requested estimator; falls back to the covariate-free one,
+    flagged by ``separation_fallback``, when the partial likelihood is monotone."""
     if kind not in KINDS:
         raise SurvivalError(f"unknown survival model kind {kind!r}")
     time = np.asarray(sample.time, dtype=float)
@@ -209,7 +207,6 @@ def fit_survival(sample: SurvivalSample, kind: str = PROPORTIONAL_HAZARDS) -> Su
                     break
                 step *= 0.5
             if np.any(np.abs(cand) * sd[keep] > SEPARATION_SCALE):
-                warnings.warn("monotone partial likelihood; falling back to the covariate-free estimator")
                 return _fit_km(time, event, fallback=True)
             improved = ll_new - ll
             beta, ll, grad, hess = cand, ll_new, grad_new, hess_new
@@ -234,17 +231,6 @@ def fit_survival(sample: SurvivalSample, kind: str = PROPORTIONAL_HAZARDS) -> Su
         log_likelihood=ll,
         iterations=iterations,
     )
-
-
-def partial_loglik_parts(model_beta: np.ndarray, sample: SurvivalSample):
-    """(loglik, gradient, hessian) at ``model_beta`` for mean-centered covariates."""
-    x = np.asarray(sample.covariates, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    xc = x - x.mean(axis=0)
-    return _breslow_parts(np.asarray(model_beta, dtype=float),
-                          np.asarray(sample.time, dtype=float),
-                          np.asarray(sample.event, dtype=bool), xc)
 
 
 def conditional_survival(model: SurvivalModel, t: float, x: Sequence[float] | float = ()) -> float:

@@ -15,7 +15,6 @@ from trialmi._streams import TRUTH_NS, substream
 from trialmi.core import (ADMIN_WITHDRAWAL, DEFAULT_GRID, OTHER_WITHDRAWAL, SubjectRecord,
                           TrialDataset, VisitGrid, classify_scenario)
 from trialmi.datagen import NEVER, TrueValues, draw_baseline, resolve_params
-from trialmi.imputation import _SCEN_CODE
 
 _COUNTER = [0]
 
@@ -32,12 +31,11 @@ def make_subject(outcomes: Sequence[Optional[float]], *, arm: int = 0, baseline:
     if withdraw is not None and withdraw_type is None:
         withdraw_type = 1
     return SubjectRecord(id=subject_id, arm=arm, baseline=baseline, outcomes=outcomes,
-                         missing=tuple(o is None for o in outcomes), disc_time=disc,
-                         withdraw_time=withdraw, withdraw_type=withdraw_type)
+                         disc_time=disc, withdraw_time=withdraw, withdraw_type=withdraw_type)
 
 
 def make_dataset(subjects: Sequence[SubjectRecord], grid: VisitGrid = DEFAULT_GRID) -> TrialDataset:
-    return TrialDataset(grid=grid, subjects=tuple(subjects), provenance="hand-built")
+    return TrialDataset(grid=grid, subjects=tuple(subjects))
 
 
 def completer(value: float, **kw) -> SubjectRecord:
@@ -141,7 +139,7 @@ def reference_extract(dataset: TrialDataset) -> dict:
         for idx, val in enumerate(subject.outcomes):
             if val is not None:
                 out["y"][j, idx] = val
-        out["scen"][j] = _SCEN_CODE[classify_scenario(subject, grid)]
+        out["scen"][j] = classify_scenario(subject, grid)
         if subject.withdraw_time is not None:
             out["withdraw"][j] = subject.withdraw_time
         obs = np.flatnonzero(~np.isnan(out["y"][j, : k - 1]))

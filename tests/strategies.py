@@ -31,5 +31,5 @@ def valid_records(draw, grid=DEFAULT_GRID):
     outcomes = tuple(None if m else draw(_VALUES) for m in missing)
     return SubjectRecord(
         id=draw(_IDS), arm=draw(st.sampled_from([0, 1])), baseline=draw(_VALUES),
-        outcomes=outcomes, missing=tuple(missing), disc_time=disc,
+        outcomes=outcomes, disc_time=disc,
         withdraw_time=withdraw, withdraw_type=withdraw_type)

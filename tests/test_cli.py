@@ -153,3 +153,58 @@ def test_cli_import_leaves_out_scipy_stats():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                             timeout=60, check=True)
     assert result.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("methods", ["A,B", " a , b ", ["A", "B"]])
+def test_config_methods_parse_like_the_flag(trial_csv, tmp_path, methods):
+    out, manifest = run(tmp_path, "config", "analyze", trial_csv, "--m-imputations", 4,
+                        config={"plan": {"methods": methods}})
+    assert manifest["identity"]["methods"] == ["A", "B"]
+    flag, _ = run(tmp_path, "flag", "analyze", trial_csv, "--m-imputations", 4, "--methods", "A,B")
+    assert data_rows(out / "estimates.csv") == data_rows(flag / "estimates.csv")
+
+
+@pytest.mark.parametrize("methods", ["AB", "", ["AB"], 5])
+def test_config_methods_reject_what_the_flag_rejects(trial_csv, tmp_path, capsys, methods):
+    err = rejects(tmp_path, capsys, {"plan": {"methods": methods}}, "analyze", trial_csv)
+    assert f"got {methods!r}" in err
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+@pytest.mark.parametrize("level", [1.5, 0.0, float("nan")])
+def test_out_of_range_level_is_rejected_before_any_work(trial_csv, tmp_path, capsys, monkeypatch,
+                                                       command, level):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran work after a bad ci_level")
+    monkeypatch.setattr(cli, "run_plan", no_work)
+    monkeypatch.setattr(cli, "read_dataset_csv", no_work)
+    argv = ["simulate", "--reps", 2] if command == "simulate" else ["analyze", trial_csv]
+    assert cli.main([str(a) for a in argv] + ["--level", str(level), "--out", str(tmp_path / "out")]) == 1
+    assert "ci_level must lie in (0, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, config, name", [
+    ("simulate", {"plan": {"n_replicates": "x"}}, "plan.n_replicates"),
+    ("simulate", {"plan": {"n_replicates": 2.5}}, "plan.n_replicates"),
+    ("simulate", {"plan": {"workers": "two"}}, "plan.workers"),
+    ("simulate", {"plan": {"truth_n_datasets": [5]}}, "plan.truth_n_datasets"),
+    ("simulate", {"plan": {"ci_level": "high"}}, "plan.ci_level"),
+    ("truth", {"plan": {"seed": "x"}}, "plan.seed"),
+    ("truth", {"plan": {"truth_n_datasets": "many"}}, "plan.truth_n_datasets"),
+    ("analyze", {"plan": {"seed": "x"}}, "plan.seed"),
+    ("analyze", {"plan": {"ci_level": "high"}}, "plan.ci_level"),
+])
+def test_non_numeric_setting_names_the_setting(trial_csv, tmp_path, capsys, command, config, name):
+    argv = (command, trial_csv) if command == "analyze" else (command,)
+    err = rejects(tmp_path, capsys, config, *argv)
+    assert f"{name} must be" in err
+    assert not (tmp_path / "bad").exists()
+
+
+def test_non_integer_workers_variable_names_the_variable(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv(cli.WORKERS_ENV, "abc")
+    assert cli.main(["simulate", "--reps", "2", "--out", str(tmp_path / "out")]) == 1
+    assert f"{cli.WORKERS_ENV} must be an integer, got 'abc'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -99,12 +99,12 @@ class TestValidation:
         assert len(report) == 1
         assert "withdrawal type" in report[0].message
 
-    def test_observed_value_flagged_missing(self):
-        good = completer(-1.0)
-        bad = dataclasses.replace(good, missing=(False, False, False, True))
+    def test_wrong_visit_count(self):
+        bad = dataclasses.replace(completer(-1.0), outcomes=(-0.2, -0.5, -1.0))
         report = validate_dataset(make_dataset([bad]))
-        assert len(report) == 1
-        assert "contradicts" in report[0].message
+        assert [v.message for v in report] == ["expected 4 visit entries, got 3"]
+        with pytest.raises(ValidationError, match="visit entries"):
+            classify_scenario(bad, DEFAULT_GRID)
 
     def test_observed_after_withdrawal(self):
         bad = make_subject([-0.1, -0.2, -0.3, None], withdraw=20.0)
@@ -143,3 +143,10 @@ def test_scenario_counts_partition():
     assert sum(counts[0].values()) == 2
     assert sum(counts[1].values()) == 2
     assert counts[1][S.S52] == 1
+
+
+def test_scenario_codes_and_names():
+    # The code is the label's array form; the name is its text in scenarios.csv.
+    assert [(int(label), label.name) for label in S] == [
+        (0, "S1"), (1, "S2"), (2, "S3"), (3, "S4_51"), (4, "S52")]
+    assert make_subject([-0.3, None, -0.4, None]).missing == (False, True, False, True)

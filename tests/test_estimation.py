@@ -3,50 +3,42 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from trialmi.errors import EstimationError
-from trialmi.estimation import (coverage_indicator, estimate_complete,
-                                estimate_matrix, pool_rubin)
-from trialmi.imputation import CompletedDataset
+from trialmi.estimation import estimate_matrix, pool_rubin
 
-from .helpers import completer, make_dataset, reference_pool_rubin
+from .helpers import reference_pool_rubin
 
 
-def completed(values0, values1):
-    subjects = ([completer(v, arm=0) for v in values0]
-                + [completer(v, arm=1) for v in values1])
-    data = make_dataset(subjects)
-    return CompletedDataset(dataset=data,
-                            endpoints=np.array(list(values0) + list(values1), dtype=float),
-                            provenance=tuple("observed" for _ in subjects))
+def estimate(values0, values1):
+    """estimate_matrix on one round, as floats."""
+    arms = np.array([0] * len(values0) + [1] * len(values1))
+    endpoints = np.array([list(values0) + list(values1)], dtype=float)
+    return {k: float(v[0]) for k, v in estimate_matrix(arms, endpoints).items()}
 
 
 class TestCompleteEstimate:
     def test_hand_arithmetic(self):
-        est = estimate_complete(completed([1.0, 2.0, 3.0], [2.0, 2.0, 2.0]))
-        assert est.mean_control == pytest.approx(2.0, abs=1e-15)
-        assert est.var_control == pytest.approx(1.0 / 3.0, abs=1e-15)
+        est = estimate([1.0, 2.0, 3.0], [2.0, 2.0, 2.0])
+        assert est["mean_control"] == pytest.approx(2.0, abs=1e-15)
+        assert est["var_control"] == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_identical_constants(self):
-        est = estimate_complete(completed([4.0] * 5, [4.0] * 5))
-        assert est.difference == 0.0
-        assert est.var_difference == 0.0
+        est = estimate([4.0] * 5, [4.0] * 5)
+        assert est["difference"] == 0.0
+        assert est["var_difference"] == 0.0
 
     def test_empty_arm_is_error(self):
-        subjects = [completer(1.0, arm=0), completer(2.0, arm=0)]
-        c = CompletedDataset(dataset=make_dataset(subjects),
-                             endpoints=np.array([1.0, 2.0]),
-                             provenance=("observed", "observed"))
         with pytest.raises(EstimationError):
-            estimate_complete(c)
+            estimate([1.0, 2.0], [])
 
     def test_matches_streaming_oracle(self):
         g = np.random.default_rng(8)
         v0 = list(g.normal(0, 2, 37))
         v1 = list(g.normal(-1, 1, 43))
-        est = estimate_complete(completed(v0, v1))
+        est = estimate(v0, v1)
 
         def streaming(vals):
             mean = 0.0
@@ -59,20 +51,9 @@ class TestCompleteEstimate:
 
         m0, var0 = streaming(v0)
         m1, var1 = streaming(v1)
-        assert est.mean_control == pytest.approx(m0, rel=1e-12)
-        assert est.var_control == pytest.approx(var0, rel=1e-12)
-        assert est.difference == pytest.approx(m1 - m0, rel=1e-12)
-
-    def test_matrix_equals_scalar_path(self):
-        g = np.random.default_rng(4)
-        arms = np.array([0] * 10 + [1] * 12)
-        endpoints = g.normal(size=(5, 22))
-        out = estimate_matrix(arms, endpoints)
-        for m in range(5):
-            c = completed(endpoints[m, :10], endpoints[m, 10:])
-            est = estimate_complete(c)
-            assert out["mean_control"][m] == pytest.approx(est.mean_control, rel=1e-14)
-            assert out["var_difference"][m] == pytest.approx(est.var_difference, rel=1e-14)
+        assert est["mean_control"] == pytest.approx(m0, rel=1e-12)
+        assert est["var_control"] == pytest.approx(var0, rel=1e-12)
+        assert est["difference"] == pytest.approx(m1 - m0, rel=1e-12)
 
 
 class TestRubinPooling:
@@ -139,18 +120,3 @@ class TestRubinPooling:
         lo = pool_rubin([(1.0 - spread, w), (1.0 + spread, w)])
         hi = pool_rubin([(1.0 - spread - 0.5, w), (1.0 + spread + 0.5, w)])
         assert hi.total >= lo.total - 1e-12
-
-
-class TestCoverage:
-    def test_truth_inside(self):
-        pooled = pool_rubin([(0.0, 0.25), (0.2, 0.25)])
-        assert coverage_indicator(pooled, 0.1)
-
-    def test_closed_interval_endpoints(self):
-        pooled = pool_rubin([(1.0, 0.5), (2.0, 0.5)])
-        assert coverage_indicator(pooled, pooled.ci_low)
-        assert coverage_indicator(pooled, pooled.ci_high)
-
-    def test_outside(self):
-        pooled = pool_rubin([(1.0, 0.5), (2.0, 0.5)])
-        assert not coverage_indicator(pooled, pooled.ci_high + 1e-3)

@@ -12,9 +12,9 @@ from trialmi.datagen import generate_trial
 from trialmi.errors import ConfigError, ImputationError
 from trialmi import imputation
 from trialmi.estimation import pool_rubin
-from trialmi.imputation import (GATED_ADHERER, GATED_RD, OBSERVED, ImputationConfig,
-                                NormalImputationModel, _extract, fit_donor_model, impute,
-                                impute_matrix, posterior_draws)
+from trialmi.imputation import (GATED_ADHERER, GATED_RD, MAR_ADHERER, OBSERVED,
+                                RETRIEVED_DROPOUT, ImputationConfig, NormalImputationModel,
+                                _extract, fit_donor_model, impute_matrix, posterior_draws)
 from trialmi.survival import build_sample, fit_survival, prob_disc_before_end
 
 from .helpers import (completer, load_trialgen, make_dataset, make_subject, reference_extract,
@@ -394,11 +394,9 @@ class TestMethodLaws:
                                      withdraw_type=ADMIN_WITHDRAWAL, baseline=6.5, subject_id="W"))
         data = make_dataset(subjects)
         assert validate_dataset(data) == []
-        with pytest.warns(UserWarning, match="monotone"):
-            res = impute_matrix(data, cfg("C", m=20))
+        res = impute_matrix(data, cfg("C", m=20))
         assert res.fallback_events == ("monotone partial likelihood in arm 0: product-limit gate",)
-        with pytest.warns(UserWarning, match="monotone"):
-            model = fit_survival(build_sample(data, 0))
+        model = fit_survival(build_sample(data, 0))
         assert model.separation_fallback
         p_hat = prob_disc_before_end(model, 13.0, 48.0, [6.5])
         assert 0 < p_hat < 1
@@ -409,26 +407,17 @@ class TestMethodLaws:
 class TestCompletedDatasets:
     def test_provenance_tags(self):
         data = no_s52_dataset()
-        completed = impute(data, cfg("A", m=3, min_donor_pool=12))
-        assert len(completed) == 3
+        res = impute_matrix(data, cfg("A", m=3, min_donor_pool=12))
+        assert res.provenance_codes.shape == (3, len(data.subjects))
         labels = [classify_scenario(s, data.grid) for s in data.subjects]
-        for c in completed:
-            for tag, L in zip(c.provenance, labels):
+        for codes in res.provenance_codes:
+            for code, L in zip(codes, labels):
                 if L is ScenarioLabel.S2:
-                    assert tag == "mar-adherer"
+                    assert code == MAR_ADHERER
                 elif L is ScenarioLabel.S4_51:
-                    assert tag == "retrieved-dropout"
+                    assert code == RETRIEVED_DROPOUT
                 else:
-                    assert tag == "observed"
-
-    def test_impute_rounds_match_impute_matrix(self):
-        data = wide_dataset()
-        for method in "ABCD":
-            completed = impute(data, cfg(method, m=4, min_donor_pool=12))
-            res = impute_matrix(data, cfg(method, m=4, min_donor_pool=12))
-            assert len(completed) == 4
-            for row, c in zip(res.endpoints, completed):
-                assert np.array_equal(c.endpoints, row)
+                    assert code == OBSERVED
 
 
 class TestDeterminism:
