@@ -22,7 +22,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_args, get_origin, get_type_hints
 
 from . import __version__
 from .core import (ADMIN_WITHDRAWAL, OTHER_WITHDRAWAL, SubjectRecord, TrialDataset,
@@ -38,7 +38,8 @@ WORKERS_ENV = "TRIALMI_WORKERS"
 _PLAN_KEYS = {"preset", "n_replicates", "methods", "seed", "workers",
               "truth_n_datasets", "ci_level"}
 _IMPUTATION_KEYS = {f.name for f in dataclasses.fields(ImputationConfig)} - {"method", "seed"}
-_GEN_KEYS = {f.name for f in dataclasses.fields(GenParams)}
+_GEN_TYPES = get_type_hints(GenParams)
+_GEN_KEYS = set(_GEN_TYPES)
 #: Config sections and keys each command does not use, and so rejects.
 _UNUSED = {"simulate": set(),
            "analyze": {"gen", "plan.preset", "plan.n_replicates", "plan.workers", "plan.truth_n_datasets"},
@@ -124,15 +125,25 @@ def _load_config(path: Optional[Path], command: str) -> dict:
     return doc
 
 
+def _gen_value(key: str, value):
+    """A ``gen`` setting as its GenParams field's type: a list becomes a tuple
+    of numbers (a VisitGrid for ``grid``), cast per element; a ConfigError
+    names the setting."""
+    kind, name = _GEN_TYPES[key], f"gen.{key}"
+    if kind is VisitGrid or get_origin(kind) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+        items = tuple(_cast(v, float, f"{name}[{i}]") for i, v in enumerate(value))
+        return VisitGrid(times=items) if kind is VisitGrid else items
+    if value is None and type(None) in get_args(kind):
+        return None
+    return _cast(value, int if kind is int else float, name)
+
+
 def _resolve_gen_params(config: dict, preset_flag: Optional[str]) -> tuple[GenParams, str]:
     preset = preset_flag or config.get("plan", {}).get("preset") or "setting1"
     params = setting_preset(preset)
-    overrides = dict(config.get("gen", {}))
-    if "grid" in overrides:
-        overrides["grid"] = VisitGrid(times=tuple(float(t) for t in overrides["grid"]))
-    for key, val in overrides.items():
-        if isinstance(val, list):
-            overrides[key] = tuple(val)
+    overrides = {key: _gen_value(key, value) for key, value in config.get("gen", {}).items()}
     if overrides:
         params = dataclasses.replace(params, **overrides)
     params.validate()
@@ -195,6 +206,8 @@ def _parse_methods(text: Optional[str], config: dict) -> tuple[str, ...]:
     methods = tuple(str(m).strip().upper() for m in parts)
     if not methods or any(m not in METHODS for m in methods):
         raise ConfigError(f"methods must be a nonempty subset of {','.join(METHODS)}; got {value!r}")
+    if len(set(methods)) != len(methods):
+        raise ConfigError(f"methods must not repeat; got {value!r}")
     return methods
 
 

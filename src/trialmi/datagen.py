@@ -8,6 +8,13 @@ treatment discontinuation the active-arm effect washes out linearly over a
 fixed window while the control mean is unchanged.  Administrative study
 withdrawal is an independent constant-hazard event that masks every visit
 after it.
+
+One simulation kernel serves trials and truth.  Both draw each arm as arrays
+(baselines, subject effects, visit noise, then per-visit discontinuation
+uniforms) and take the first discontinuation visit from ``_first_disc_visit``.
+``generate_trial`` then draws withdrawals and endpoint missingness for the
+arm and builds the subject records; the truth oracle forms only the
+complete-data endpoint, batch by batch.
 """
 from __future__ import annotations
 
@@ -145,115 +152,86 @@ def draw_baseline(rng: np.random.Generator, params: GenParams, size=None):
     return params.baseline_loc + params.baseline_scale * b
 
 
-def adherent_trajectory(rng: np.random.Generator, x: float, arm: int, params: GenParams):
-    """Subject effect and per-visit changes under full adherence.
+def _first_disc_visit(u: np.ndarray, level: np.ndarray, eps: np.ndarray, decay: np.ndarray,
+                      arm: int, params: GenParams) -> np.ndarray:
+    """Index of each subject's first treatment-discontinuation visit; K means never.
 
-    Returns ``(s, y_hyp)`` where ``y_hyp[k]`` is the change at visit k:
-    (theta_arm + (beta0 + arm*beta1)(x - mean) + s) * (1 - exp(-kappa t_k))
-    plus independent within-subject noise.
+    At visit k a subject still on treatment stops, right after the previous
+    visit week (week 0 for k = 0), when ``u[k] < expit(alpha0 + alpha1 y) +
+    c_k``, where y = level * decay[k-1] + eps[..., k-1] is the previous
+    adherent change (0 at k = 0). Heavy-tailed responses can push the sum past
+    1; it is clipped to [0, 1]. With alpha1 = 0 the probability is one scalar
+    per visit. ``level`` has one value per subject, ``eps`` one per subject
+    and visit, and ``u`` leads with the visit axis.
     """
-    times = np.asarray(params.grid.times)
-    s = rng.normal(0.0, math.sqrt(params.sigma_s2))
-    eps = rng.normal(0.0, math.sqrt(params.sigma_e2), size=times.shape)
-    level = params.theta(arm) + (params.beta0 + arm * params.beta1) * (x - params.baseline_mean) + s
-    return s, level * (1.0 - np.exp(-params.kappa * times)) + eps
-
-
-def disc_probability(y_prev: float, visit_index: int, arm: int, params: GenParams) -> float:
-    """Per-visit discontinuation probability given the previous adherent change.
-
-    Heavy-tailed responses can push the sum past 1; it is clipped to [0, 1]
-    (the additive constant already guarantees the anchor check in validate).
-    """
-    p = float(expit(params.alpha0 + params.alpha1 * y_prev)) + params.c_visit(arm)[visit_index]
-    return min(max(p, 0.0), 1.0)
-
-
-def simulate_disc_time(rng: np.random.Generator, y_hyp: np.ndarray, arm: int, params: GenParams) -> float:
-    """Week of treatment discontinuation, or NEVER.
-
-    At each visit k the subject stops right after the previous time point
-    with probability expit(alpha0 + alpha1 * y_{k-1}) + c_k (y_0 = 0), so the
-    possible discontinuation weeks are 0 and all grid times but the last.
-    """
-    times = params.grid.times
-    y_prev = 0.0
-    for k in range(len(times)):
-        if rng.random() < disc_probability(y_prev, k, arm, params):
-            return times[k - 1] if k else 0.0
-        y_prev = float(y_hyp[k])
-    return NEVER
-
-
-def treatment_policy_trajectory(y_hyp: np.ndarray, arm: int, disc_time: float, params: GenParams) -> np.ndarray:
-    """Observable trajectory: adherent values plus the post-discontinuation washout.
-
-    The realized noise is shared with the adherent trajectory; only the mean
-    shifts, linearly over ``washout_weeks`` toward the control ultimate level.
-    Control-arm trajectories are unchanged.
-    """
-    y_hyp = np.asarray(y_hyp, dtype=float)
-    if arm == 0 or not math.isfinite(disc_time):
-        return y_hyp.copy()
-    times = np.asarray(params.grid.times)
-    frac = np.minimum(np.maximum(times - disc_time, 0.0), params.washout_weeks) / params.washout_weeks
-    shift = -(params.theta(arm) - params.theta0) * frac * (1.0 - np.exp(-params.kappa * times))
-    return y_hyp + shift
-
-
-def simulate_withdrawal(rng: np.random.Generator, params: GenParams) -> float:
-    """Week of administrative study withdrawal within the study, or NEVER."""
-    if params.withdrawal_hazard <= 0:
-        return NEVER
-    w = rng.exponential(1.0 / params.withdrawal_hazard)
-    return w if w < params.grid.duration else NEVER
-
-
-def assemble_subject(subject_id: str, x: float, arm: int, y_tp: np.ndarray,
-                     disc_time: float, withdrawal: float,
-                     rng: np.random.Generator, params: GenParams) -> SubjectRecord:
-    """Apply masking rules and record what the trial would actually observe.
-
-    Visits after the withdrawal week are masked.  Subjects who stay to the end
-    lose the endpoint with probability ``p_miss_retained_dropout`` if they
-    discontinued treatment (controls how many retrieved dropouts remain) and
-    ``p_miss_completer`` otherwise.  The discontinuation week is recorded only
-    when it precedes both withdrawal and study end.
-    """
-    grid = params.grid
-    d = grid.duration
-    v = withdrawal if withdrawal < d else None
-    u = disc_time if disc_time < min(withdrawal, d) else None
-    missing = [v is not None and t > v for t in grid.times]
-    if v is None:
-        p = params.p_miss_retained_dropout if disc_time < d else params.p_miss_completer
-        if rng.random() < p:
-            missing[-1] = True
-    return SubjectRecord(
-        id=subject_id,
-        arm=arm,
-        baseline=float(x),
-        outcomes=tuple(None if m else float(y_tp[k]) for k, m in enumerate(missing)),
-        disc_time=u,
-        withdraw_time=v,
-        withdraw_type=ADMIN_WITHDRAWAL if v is not None else None,
-    )
+    visits = len(decay)
+    c = params.c_visit(arm)
+    first = np.full(level.shape, visits)
+    alive = np.ones(level.shape, dtype=bool)
+    for k in range(visits):
+        y_prev = level * decay[k - 1] + eps[..., k - 1] if k and params.alpha1 != 0 else 0.0
+        prob = np.clip(expit(params.alpha0 + params.alpha1 * y_prev) + c[k], 0.0, 1.0)
+        fail = alive & (u[k] < prob)
+        first[fail] = k
+        alive &= ~fail
+    return first
 
 
 def generate_trial(params: Union[GenParams, str], seed: int, *, replicate: int = 0) -> TrialDataset:
-    """One fully generated trial, deterministic in (seed, replicate)."""
+    """One fully generated trial, deterministic in (seed, replicate).
+
+    Each arm, control first, is drawn as arrays in one pass. The trial's
+    random-stream layout is, per arm of n subjects and K visits: baselines
+    (n), subject effects (n), visit noise (n, K), discontinuation uniforms
+    (K, n), withdrawal exponentials (n, only when withdrawal_hazard > 0), then
+    endpoint-missingness uniforms (n). The masking rules:
+
+    - every visit after a withdrawal inside the study is missing;
+    - the discontinuation week is recorded only when it precedes both the
+      withdrawal and the study end;
+    - a subject who is not withdrawn loses the endpoint with probability
+      ``p_miss_retained_dropout`` after a discontinuation (it sets how many
+      retrieved dropouts remain) and ``p_miss_completer`` otherwise.
+
+    Subjects are numbered S0001, S0002, ... across both arms.
+    """
     p = resolve_params(params)
     rng = substream(seed, TRIAL_NS, replicate)
+    times = np.asarray(p.grid.times)
+    n, visits, d = p.n_per_arm, len(times), p.grid.duration
+    decay = 1.0 - np.exp(-p.kappa * times)
+    # Discontinuation week by first-discontinuation visit; index K is never.
+    disc_week = np.concatenate([[0.0], times[:-1], [NEVER]])
     subjects = []
-    total = 2 * p.n_per_arm
-    for j in range(total):
-        arm = 0 if j < p.n_per_arm else 1
-        x = float(draw_baseline(rng, p))
-        _, y_hyp = adherent_trajectory(rng, x, arm, p)
-        t_a = simulate_disc_time(rng, y_hyp, arm, p)
-        y_tp = treatment_policy_trajectory(y_hyp, arm, t_a, p)
-        v = simulate_withdrawal(rng, p)
-        subjects.append(assemble_subject(f"S{j + 1:04d}", x, arm, y_tp, t_a, v, rng, p))
+    for arm in (0, 1):
+        x = draw_baseline(rng, p, size=n)
+        s = rng.normal(0.0, math.sqrt(p.sigma_s2), size=n)
+        eps = rng.normal(0.0, math.sqrt(p.sigma_e2), size=(n, visits))
+        u = rng.random((visits, n))
+        w = (rng.exponential(1.0 / p.withdrawal_hazard, size=n) if p.withdrawal_hazard > 0
+             else np.full(n, NEVER))
+        u_miss = rng.random(n)
+        level = p.theta(arm) + (p.beta0 + arm * p.beta1) * (x - p.baseline_mean) + s
+        y = level[:, None] * decay + eps
+        t_a = disc_week[_first_disc_visit(u, level, eps, decay, arm, p)]
+        if arm:
+            # After discontinuation the effect washes out linearly over
+            # washout_weeks toward the control level; the noise is kept.
+            frac = np.clip(times - t_a[:, None], 0.0, p.washout_weeks) / p.washout_weeks
+            y -= (p.theta(arm) - p.theta0) * frac * decay
+        v = np.where(w < d, w, NEVER)
+        missing = times > v[:, None]
+        p_miss = np.where(t_a < d, p.p_miss_retained_dropout, p.p_miss_completer)
+        missing[:, -1] |= (v == NEVER) & (u_miss < p_miss)
+        recorded = np.where(t_a < np.minimum(v, d), t_a, NEVER)
+        for j, (xj, yj, uj, vj) in enumerate(zip(x.tolist(), np.where(missing, None, y).tolist(),
+                                                 recorded.tolist(), v.tolist())):
+            withdrawn = vj != NEVER
+            subjects.append(SubjectRecord(
+                id=f"S{arm * n + j + 1:04d}", arm=arm, baseline=xj, outcomes=tuple(yj),
+                disc_time=None if uj == NEVER else uj,
+                withdraw_time=vj if withdrawn else None,
+                withdraw_type=ADMIN_WITHDRAWAL if withdrawn else None))
     return TrialDataset(grid=p.grid, subjects=tuple(subjects))
 
 
@@ -273,9 +251,10 @@ def _complete_endpoint_means(rng: np.random.Generator, params: GenParams, n_data
     times = np.asarray(params.grid.times)
     n, visits = params.n_per_arm, len(times)
     decay = 1.0 - np.exp(-params.kappa * times)
-    # Washout fraction at the endpoint for a discontinuation at visit k.
+    # Washout fraction at the endpoint by first-discontinuation visit; index K is never.
     disc_week = np.concatenate([[0.0], times[:-1]])
-    frac_at = np.minimum(np.maximum(times[-1] - disc_week, 0.0), params.washout_weeks) / params.washout_weeks
+    frac_at = np.append(np.minimum(np.maximum(times[-1] - disc_week, 0.0), params.washout_weeks)
+                        / params.washout_weeks, 0.0)
     s_buf, eps_buf, u_buf = (buf[:size * n_datasets * n]
                              for buf, size in zip(buffers, (1, visits, visits)))
     means = {}
@@ -294,15 +273,7 @@ def _complete_endpoint_means(rng: np.random.Generator, params: GenParams, n_data
             rng.bit_generator.advance(u_buf.size)
         else:
             u = rng.random(out=u_buf.reshape(visits, n_datasets, n))
-            c = params.c_visit(arm)
-            frac = np.zeros((n_datasets, n))
-            alive = np.ones((n_datasets, n), dtype=bool)
-            for k in range(visits):
-                y_prev = level * decay[k - 1] + eps[..., k - 1] if k and params.alpha1 != 0 else 0.0
-                prob = np.clip(expit(params.alpha0 + params.alpha1 * y_prev) + c[k], 0.0, 1.0)
-                fail = alive & (u[k] < prob)
-                frac[fail] = frac_at[k]
-                alive &= ~fail
+            frac = frac_at[_first_disc_visit(u, level, eps, decay, arm, params)]
             endpoint = endpoint - dtheta * frac * decay[-1]
         means[arm] = endpoint.mean(axis=1)
     return means[0], means[1]

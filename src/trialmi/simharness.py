@@ -98,7 +98,8 @@ def analyze_dataset(dataset: TrialDataset, configs: Sequence[ImputationConfig], 
 
 def _run_replicate(args):
     """One replicate; returns (rep, counts, {method: {estimand: 4 floats}}) or,
-    when it fails with a TrialMIError, (rep, error message)."""
+    when it fails with a TrialMIError, (rep, error message). Any other
+    exception propagates with a note naming the replicate."""
     params, plan, rep = args
     try:
         dataset = generate_trial(params, plan.seed, replicate=rep)
@@ -107,6 +108,10 @@ def _run_replicate(args):
         pooled = analyze_dataset(dataset, configs, plan.ci_level, replicate=rep)
     except TrialMIError as exc:
         return (rep, f"replicate {rep}: {type(exc).__name__}: {exc}")
+    except Exception as exc:
+        if hasattr(exc, "add_note"):  # Python 3.11+
+            exc.add_note(f"replicate {rep}")
+        raise
     per_method = {method: {estimand: (p.point, math.sqrt(p.total), p.ci_low, p.ci_high)
                            for estimand, p in by_estimand.items()}
                   for method, by_estimand in pooled.items()}

@@ -132,14 +132,14 @@ def test_command_rejects_config_keys_it_does_not_use(trial_csv, tmp_path, capsys
 
 
 def test_simulate_accepts_every_config_key(tmp_path):
-    config = {"gen": {"n_per_arm": 60},
+    config = {"gen": {"n_per_arm": 100},
               "plan": {"preset": "setting2", "n_replicates": 2, "methods": ["A", "C"], "seed": 3,
                        "workers": 1, "truth_n_datasets": 50, "ci_level": 0.9},
               "imputation": {**CHANGED, "m": 4, "min_donor_pool": 6}}
     assert set(config["plan"]) == cli._PLAN_KEYS and set(config["imputation"]) == SETTINGS
     _, manifest = run(tmp_path, "all", "simulate", config=config)
     identity = manifest["identity"]
-    assert (identity["preset"], identity["params"]["n_per_arm"]) == ("setting2", 60)
+    assert (identity["preset"], identity["params"]["n_per_arm"]) == ("setting2", 100)
     assert identity["plan"]["imputation"] == config["imputation"]
     plan = {k: v for k, v in config["plan"].items() if k not in ("preset", "workers")}
     assert {k: identity["plan"][k] for k in plan} == plan
@@ -195,6 +195,13 @@ def test_out_of_range_level_is_rejected_before_any_work(trial_csv, tmp_path, cap
     ("truth", {"plan": {"truth_n_datasets": "many"}}, "plan.truth_n_datasets"),
     ("analyze", {"plan": {"seed": "x"}}, "plan.seed"),
     ("analyze", {"plan": {"ci_level": "high"}}, "plan.ci_level"),
+    ("simulate", {"gen": {"n_per_arm": "x"}}, "gen.n_per_arm"),
+    ("simulate", {"gen": {"n_per_arm": 2.5}}, "gen.n_per_arm"),
+    ("simulate", {"gen": {"p_miss_completer": None}}, "gen.p_miss_completer"),
+    ("simulate", {"gen": {"c_experimental": 0.06}}, "gen.c_experimental"),
+    ("truth", {"gen": {"grid": [12, "a"]}}, "gen.grid[1]"),
+    ("truth", {"gen": {"grid": "12,24"}}, "gen.grid"),
+    ("truth", {"gen": {"c_control": [0.2, None, 0.2, 0.2]}}, "gen.c_control[1]"),
 ])
 def test_non_numeric_setting_names_the_setting(trial_csv, tmp_path, capsys, command, config, name):
     argv = (command, trial_csv) if command == "analyze" else (command,)
@@ -208,3 +215,26 @@ def test_non_integer_workers_variable_names_the_variable(tmp_path, capsys, monke
     assert cli.main(["simulate", "--reps", "2", "--out", str(tmp_path / "out")]) == 1
     assert f"{cli.WORKERS_ENV} must be an integer, got 'abc'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_gen_values_take_their_field_types(tmp_path):
+    _, manifest = run(tmp_path, "typed", "truth", "--n-datasets", 20, config={
+        "gen": {"n_per_arm": 60.0, "theta1": -2, "mu_x": None, "grid": [12, 24, 36, 48],
+                "c_control": [0, 0.1, 0.1, 0.1]}})
+    params = manifest["identity"]["params"]
+    assert (params["n_per_arm"], params["theta1"], params["mu_x"]) == (60, -2.0, None)
+    assert params["grid"] == [12.0, 24.0, 36.0, 48.0] and params["c_control"] == [0.0, 0.1, 0.1, 0.1]
+    assert [type(params[k]) for k in ("n_per_arm", "theta1")] == [int, float]
+
+
+@pytest.mark.parametrize("form", ["flag", "config"])
+def test_analyze_rejects_repeated_methods(trial_csv, tmp_path, capsys, form):
+    if form == "flag":
+        (tmp_path / "empty.json").write_text("{}")
+        argv = ["analyze", str(trial_csv), "--methods", "A,A", "--config", str(tmp_path / "empty.json")]
+        assert cli.main(argv + ["--out", str(tmp_path / "bad")]) == 1
+        err = capsys.readouterr().err
+    else:
+        err = rejects(tmp_path, capsys, {"plan": {"methods": ["A", "a"]}}, "analyze", trial_csv)
+    assert "methods must not repeat" in err
+    assert not (tmp_path / "bad").exists()

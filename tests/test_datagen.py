@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 
 from trialmi._streams import substream
 from trialmi.core import ScenarioLabel, VisitGrid, scenario_counts
-from trialmi.datagen import (NEVER, GenParams, adherent_trajectory, assemble_subject,
-                             disc_probability, draw_baseline, generate_trial,
-                             generate_truth, setting_preset, simulate_disc_time,
-                             simulate_withdrawal, treatment_policy_trajectory)
+from trialmi.datagen import (GenParams, _first_disc_visit, draw_baseline, generate_trial,
+                             generate_truth, setting_preset)
 from trialmi.errors import ConfigError
 
 from .analytic_oracle import scenario_probabilities
@@ -25,6 +23,27 @@ BASELINE_MEAN = 7.0 + 3.0 * 1.5 / 3.5  # 8.2857...
 
 def rng(*key):
     return substream(99, 7, *key)
+
+
+#: A regime with no noise, no withdrawal, no extra missingness and (with
+#: alpha0 = -60 and zero constants) no discontinuation; every baseline is the
+#: population mean.
+QUIET = dict(sigma_s2=0.0, sigma_e2=0.0, baseline_scale=0.0, baseline_loc=BASELINE_MEAN,
+             mu_x=BASELINE_MEAN, alpha0=-60.0, alpha1=0.0, c_control=(0.0,) * 4,
+             c_experimental=(0.0,) * 4, withdrawal_hazard=0.0, p_miss_completer=0.0,
+             p_miss_retained_dropout=0.0)
+#: A per-visit constant that, with alpha0 = -60, makes a stop all but certain.
+CERTAIN = 1.0 - 1e-12
+
+
+def trial(seed=1, replicate=0, **changes):
+    """A small trial on setting1 with ``changes`` applied."""
+    params = dataclasses.replace(setting_preset("setting1"), **{"n_per_arm": 40, **changes})
+    return params, generate_trial(params, seed, replicate=replicate)
+
+
+def arm_subjects(data, arm):
+    return [s for s in data.subjects if s.arm == arm]
 
 
 class TestPresets:
@@ -70,16 +89,16 @@ class TestBaseline:
 
 class TestAdherentTrajectory:
     def test_saturates_to_ultimate_change(self):
-        params = GenParams(sigma_s2=0.0, sigma_e2=0.0, kappa=1.0,
-                           grid=dataclasses.replace(GenParams().grid))
-        _, y = adherent_trajectory(rng(4), BASELINE_MEAN, 1, params)
-        assert y[-1] == pytest.approx(params.theta1, abs=1e-12)
+        params, data = trial(**QUIET, kappa=1.0)
+        for s in arm_subjects(data, 1):
+            assert s.endpoint == pytest.approx(params.theta1, abs=1e-12)
 
     def test_baseline_slope_only(self):
-        params = GenParams(sigma_s2=0.0, sigma_e2=0.0, kappa=50.0, theta0=0.0)
         x = 10.0
-        _, y = adherent_trajectory(rng(5), x, 0, params)
-        assert np.allclose(y, -0.1 * (x - BASELINE_MEAN), atol=1e-12)
+        _, data = trial(**{**QUIET, "baseline_loc": x}, kappa=50.0, theta0=0.0)
+        for s in arm_subjects(data, 0):
+            assert s.baseline == x
+            assert np.allclose(s.outcomes, -0.1 * (x - BASELINE_MEAN), atol=1e-12)
 
     def test_monte_carlo_week48_mean(self):
         params = setting_preset("setting1")
@@ -97,35 +116,39 @@ class TestAdherentTrajectory:
 
 class TestDiscontinuation:
     def test_logistic_arithmetic(self):
+        # At the first visit the probability is expit(-3.5) + 0.2 = 0.229312;
+        # a uniform just below it stops there, one just above never stops.
         params = GenParams(alpha1=0.0, c_control=(0.2,) * 4)
-        p = disc_probability(0.0, 0, 0, params)
-        assert p == pytest.approx(0.229312, abs=5e-7)
+        u = np.array([[0.229312 - 5e-7, 0.229312 + 5e-7]] + [[1.0 - 1e-16] * 2] * 3)
+        first = _first_disc_visit(u, np.zeros(2), np.zeros((2, 4)), np.ones(4), 0, params)
+        assert first.tolist() == [0, 4]
 
     def test_certain_at_first_visit(self):
         base = float(1.0 / (1.0 + math.exp(3.5)))
-        params = GenParams(alpha1=0.0, c_control=(1.0 - base - 1e-12,) * 4)
         for seed in range(20):
-            t = simulate_disc_time(rng(7, seed), np.zeros(4), 0, params)
-            assert t == 0.0
+            _, data = trial(seed, alpha1=0.0, c_control=(1.0 - base - 1e-12,) * 4,
+                            withdrawal_hazard=0.0)
+            assert all(s.disc_time == 0.0 for s in arm_subjects(data, 0))
 
     def test_never_when_probability_zero(self):
-        params = GenParams(alpha0=-60.0, alpha1=0.0, c_control=(0.0,) * 4,
-                           c_experimental=(0.0,) * 4)
-        assert simulate_disc_time(rng(8), np.zeros(4), 0, params) == NEVER
+        _, data = trial(alpha0=-60.0, alpha1=0.0, c_control=(0.0,) * 4, c_experimental=(0.0,) * 4)
+        assert all(s.disc_time is None for s in data.subjects)
 
     def test_extreme_response_clipped(self):
-        params = setting_preset("setting1")
-        p = disc_probability(50.0, 0, 0, params)
-        assert p == 1.0
+        # A response of +50 puts expit past 1 - 0.06 after the first visit:
+        # every treated subject still on treatment then stops, and the
+        # clipped probability raises no warning.
+        _, data = trial(theta1=50.0, kappa=1.0, withdrawal_hazard=0.0)
+        assert {s.disc_time for s in arm_subjects(data, 1)} <= {0.0, 12.0}
 
     def test_per_visit_frequency_matches_closed_form(self):
-        params = setting_preset("setting2")
-        n = 100_000
-        g = rng(9)
-        at_risk = np.full(n, True)
-        for k in range(4):
-            p = disc_probability(0.0, k, 0, params)
-            fail = at_risk & (g.random(n) < p)
+        # setting2's control-arm law: response-independent stops.
+        params, data = trial(n_per_arm=25_000, alpha1=0.0, withdrawal_hazard=0.0)
+        weeks = np.array([np.inf if s.disc_time is None else s.disc_time for s in arm_subjects(data, 0)])
+        at_risk = np.full(weeks.size, True)
+        for k, week in enumerate((0.0,) + params.grid.times[:-1]):
+            p = float(1.0 / (1.0 + math.exp(3.5))) + params.c_control[k]
+            fail = at_risk & (weeks == week)
             frac = fail.sum() / at_risk.sum()
             se = math.sqrt(p * (1 - p) / at_risk.sum())
             assert abs(frac - p) < 3 * se
@@ -134,44 +157,55 @@ class TestDiscontinuation:
 
 class TestWashout:
     def test_control_arm_unchanged(self):
-        params = setting_preset("setting1")
-        _, y = adherent_trajectory(rng(10), 8.0, 0, params)
-        assert np.array_equal(treatment_policy_trajectory(y, 0, 12.0, params), y)
+        # Control subjects all stop at week 0 and keep the control curve.
+        params, data = trial(**{**QUIET, "c_control": (CERTAIN,) * 4}, theta0=-0.5)
+        decay = 1.0 - np.exp(-params.kappa * np.asarray(params.grid.times))
+        for s in arm_subjects(data, 0):
+            assert s.disc_time == 0.0
+            assert np.allclose(s.outcomes, params.theta0 * decay, atol=1e-12)
 
     def test_no_discontinuation_identity(self):
-        params = setting_preset("setting1")
-        _, y = adherent_trajectory(rng(11), 8.0, 1, params)
-        assert np.array_equal(treatment_policy_trajectory(y, 1, NEVER, params), y)
+        params, data = trial(**QUIET)
+        decay = 1.0 - np.exp(-params.kappa * np.asarray(params.grid.times))
+        for s in arm_subjects(data, 1):
+            assert s.disc_time is None
+            assert np.allclose(s.outcomes, params.theta1 * decay, atol=1e-12)
 
     def test_full_washout_reaches_control_level(self):
-        params = GenParams(sigma_s2=0.0, sigma_e2=0.0)
-        _, y = adherent_trajectory(rng(12), BASELINE_MEAN, 1, params)
-        y_tp = treatment_policy_trajectory(y, 1, 0.0, params)
+        params, data = trial(**{**QUIET, "c_experimental": (CERTAIN,) * 4})
         decay = 1.0 - np.exp(-params.kappa * np.asarray(params.grid.times))
         # 24 weeks past the week-0 discontinuation, the deterministic part is
         # the control mean.
-        assert y_tp[1] == pytest.approx(params.theta0 * decay[1], abs=1e-12)
-        assert y_tp[3] == pytest.approx(params.theta0 * decay[3], abs=1e-12)
+        for s in arm_subjects(data, 1):
+            assert s.disc_time == 0.0
+            assert s.outcomes[1] == pytest.approx(params.theta0 * decay[1], abs=1e-12)
+            assert s.outcomes[3] == pytest.approx(params.theta0 * decay[3], abs=1e-12)
 
-    @given(st.floats(min_value=0.0, max_value=36.0), st.integers(min_value=0, max_value=2 ** 32 - 1))
-    def test_identity_before_discontinuation(self, disc, seed):
-        params = setting_preset("setting1")
-        _, y = adherent_trajectory(substream(seed, 0), 8.5, 1, params)
-        y_tp = treatment_policy_trajectory(y, 1, disc, params)
-        times = np.asarray(params.grid.times)
-        assert np.array_equal(y_tp[times <= disc], y[times <= disc])
+    @given(st.floats(min_value=1.0, max_value=36.0), st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_identity_before_discontinuation(self, washout, seed):
+        # The washout length changes no draw: visits up to the recorded
+        # discontinuation match a trial with another washout, later ones move.
+        _, data = trial(seed, n_per_arm=8, washout_weeks=24.0)
+        _, other = trial(seed, n_per_arm=8, washout_weeks=washout)
+        times = setting_preset("setting1").grid.times
+        for s, o in zip(data.subjects, other.subjects):
+            disc = s.disc_time if s.disc_time is not None else math.inf
+            for t, y, z in zip(times, s.outcomes, o.outcomes):
+                if t <= disc or s.arm == 0 or y is None:
+                    assert y == z
+                elif washout != 24.0 and t - disc < max(washout, 24.0):
+                    assert y != z
 
 
 class TestWithdrawal:
     def test_zero_hazard(self):
-        params = GenParams(withdrawal_hazard=0.0)
-        assert simulate_withdrawal(rng(13), params) == NEVER
+        _, data = trial(withdrawal_hazard=0.0)
+        assert all(s.withdraw_time is None for s in data.subjects)
 
     def test_monte_carlo_fraction(self):
-        params = GenParams(withdrawal_hazard=0.002)
-        n = 100_000
-        g = rng(14)
-        hits = sum(simulate_withdrawal(g, params) < 48.0 for _ in range(n))
+        _, data = trial(n_per_arm=25_000, withdrawal_hazard=0.002)
+        n = len(data.subjects)
+        hits = sum(s.withdraw_time is not None for s in data.subjects)
         p = 1.0 - math.exp(-0.002 * 48.0)
         assert p == pytest.approx(0.09153598, abs=5e-8)
         assert abs(hits / n - p) < 3 * math.sqrt(p * (1 - p) / n)
@@ -179,28 +213,43 @@ class TestWithdrawal:
 
 class TestAssembly:
     def test_clean_completer(self):
-        params = dataclasses.replace(setting_preset("setting1"), p_miss_completer=0.0)
-        subject = assemble_subject("a", 8.0, 0, np.zeros(4), NEVER, NEVER, rng(15), params)
-        assert subject.disc_time is None and subject.withdraw_time is None
-        assert not any(subject.missing)
+        _, data = trial(**{**QUIET, "sigma_s2": 1.0, "sigma_e2": 0.5})
+        for s in data.subjects:
+            assert s.disc_time is None and s.withdraw_time is None
+            assert not any(s.missing)
 
     def test_retained_dropout_masked(self):
-        params = dataclasses.replace(setting_preset("setting1"), p_miss_retained_dropout=1.0)
-        subject = assemble_subject("a", 8.0, 1, np.zeros(4), 24.0, NEVER, rng(16), params)
-        assert subject.disc_time == 24.0
-        assert subject.missing == (False, False, False, True)
+        # Every treated subject stops right after week 24 and loses the endpoint.
+        _, data = trial(**{**QUIET, "c_experimental": (0.0, 0.0, CERTAIN, 0.0),
+                           "p_miss_retained_dropout": 1.0})
+        for s in arm_subjects(data, 1):
+            assert s.disc_time == 24.0
+            assert s.missing == (False, False, False, True)
+        assert not any(any(s.missing) for s in arm_subjects(data, 0))
 
     def test_withdrawal_masks_later_visits(self):
-        params = setting_preset("setting1")
-        subject = assemble_subject("a", 8.0, 0, np.zeros(4), NEVER, 30.0, rng(17), params)
-        assert subject.withdraw_time == 30.0 and subject.withdraw_type == 1
-        assert subject.missing == (False, False, True, True)
-        assert subject.disc_time is None
+        # Completers lose the endpoint with probability 1; withdrawn subjects
+        # lose exactly the visits after their withdrawal week.
+        params, data = trial(**{**QUIET, "withdrawal_hazard": 0.03, "p_miss_completer": 1.0})
+        withdrawn = [s for s in data.subjects if s.withdraw_time is not None]
+        assert 0 < len(withdrawn) < len(data.subjects)
+        for s in data.subjects:
+            assert s.disc_time is None
+            if s.withdraw_time is None:
+                assert s.missing == (False, False, False, True)
+            else:
+                assert 0 <= s.withdraw_time < 48.0 and s.withdraw_type == 1
+                assert s.missing == tuple(t > s.withdraw_time for t in params.grid.times)
 
     def test_disc_censored_by_earlier_withdrawal(self):
-        params = setting_preset("setting1")
-        subject = assemble_subject("a", 8.0, 0, np.zeros(4), 36.0, 20.0, rng(18), params)
-        assert subject.disc_time is None  # withdrawal precedes it
+        # Every subject stops right after week 36 unless withdrawn before it.
+        _, data = trial(**{**QUIET, "withdrawal_hazard": 0.03,
+                           "c_control": (0.0, 0.0, 0.0, CERTAIN)})
+        subjects = arm_subjects(data, 0)
+        assert any(s.withdraw_time is not None and s.withdraw_time < 36.0 for s in subjects)
+        for s in subjects:
+            censored = s.withdraw_time is not None and s.withdraw_time <= 36.0
+            assert s.disc_time == (None if censored else 36.0)
 
 
 class TestGenerateTrial:
@@ -222,6 +271,18 @@ class TestGenerateTrial:
         data = generate_trial(params, seed=3)
         counts = scenario_counts(data)
         assert counts[0][S.S1] == counts[1][S.S1] == params.n_per_arm
+
+    def test_one_visit_grid_and_one_subject_per_arm(self):
+        _, data = trial(n_per_arm=1, grid=VisitGrid((48.0,)), c_control=(0.2,),
+                        c_experimental=(0.06,), withdrawal_hazard=0.0)
+        assert [(s.id, s.arm) for s in data.subjects] == [("S0001", 0), ("S0002", 1)]
+        for s in data.subjects:
+            assert len(s.outcomes) == 1 and s.disc_time in (None, 0.0)
+        for rep in range(50):
+            _, data = trial(replicate=rep, n_per_arm=3, grid=VisitGrid((48.0,)),
+                            c_control=(0.2,), c_experimental=(0.06,))
+            assert all(s.disc_time in (None, 0.0) for s in data.subjects)
+            assert [s.id for s in data.subjects] == [f"S000{j}" for j in range(1, 7)]
 
     def test_zero_hazard_means_no_withdrawals(self):
         params = dataclasses.replace(setting_preset("setting2"), withdrawal_hazard=0.0)
@@ -288,21 +349,29 @@ class TestTruth:
             assert abs(getattr(a, field) - getattr(b, field)) < 0.01
 
     def test_matches_scalar_generation_path(self):
-        # The vectorized truth oracle and the per-subject trial generator
-        # sample the same law: compare complete-data endpoint means.
-        params = dataclasses.replace(setting_preset("setting2"), withdrawal_hazard=0.0,
-                                     p_miss_completer=0.0, p_miss_retained_dropout=0.0)
-        reps = 60
-        means = {0: [], 1: []}
-        for rep in range(reps):
-            data = generate_trial(params, seed=33, replicate=rep)
-            for arm in (0, 1):
-                vals = [s.endpoint for s in data.subjects if s.arm == arm]
-                means[arm].append(float(np.mean(vals)))
-        # endpoints are observed for S1/S3 only; with no withdrawal and no
-        # masking every subject keeps the endpoint
-        truth = generate_truth(params, 4000, seed=44)
-        for arm, target in ((0, truth.mean_control), (1, truth.mean_treatment)):
-            sample = np.array(means[arm])
-            se = sample.std(ddof=1) / math.sqrt(reps)
-            assert abs(sample.mean() - target) < 4 * se
+        # The truth oracle and the trial generator sample the same law:
+        # compare complete-data endpoint means.
+        check_trial_endpoints_match_truth("setting2")
+
+    def test_matches_scalar_generation_path_setting1(self):
+        # Response-dependent discontinuation: both read the previous adherent
+        # change through the shared discontinuation kernel.
+        check_trial_endpoints_match_truth("setting1")
+
+
+def check_trial_endpoints_match_truth(preset, reps=60):
+    """Per-arm complete-data endpoint means of ``reps`` trials lie within
+    4 SE of ``generate_truth``. With no withdrawal and no masking every
+    subject keeps the endpoint."""
+    params = dataclasses.replace(setting_preset(preset), withdrawal_hazard=0.0,
+                                 p_miss_completer=0.0, p_miss_retained_dropout=0.0)
+    means = {0: [], 1: []}
+    for rep in range(reps):
+        data = generate_trial(params, seed=33, replicate=rep)
+        for arm in (0, 1):
+            means[arm].append(float(np.mean([s.endpoint for s in arm_subjects(data, arm)])))
+    truth = generate_truth(params, 4000, seed=44)
+    for arm, target in ((0, truth.mean_control), (1, truth.mean_treatment)):
+        sample = np.array(means[arm])
+        se = sample.std(ddof=1) / math.sqrt(reps)
+        assert abs(sample.mean() - target) < 4 * se

@@ -28,8 +28,8 @@ RUNS = {
                 ("estimates.csv",)),
 }
 GOLDEN = {
-    "simulate-setting1": "9ede743597d37db489591afeb065ae4518558e332ed823ac481aad289f53be6e",
-    "simulate-setting2": "1d510a90c68a59d927b3d4c7d300fd78ead7da0f1d66e53076aecbfe2cda5590",
+    "simulate-setting1": "86c59d5763804c23746ae0dc0c1ef3a5e2d765bbe5915ec23f5ac759c7e14e5c",
+    "simulate-setting2": "7ae6694a31abf571498fbd339cb0aceea6bb523229394261e06e1d52e4c740cb",
     "truth": "b7c9d0016f11a9f14f9d94e86e838238596c2a856fdf771f386b76502ce8b4b5",
     "analyze": "95a46d951571be8cb493524e341c3ec5fdb5fa9f06fa50825ba8ad454937b4e4",
 }

@@ -1,19 +1,25 @@
 """Replicate-runner tests: worker-count independence, the failure policy, and
 the analysis pipeline's shared work across methods."""
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trialmi import imputation, simharness
 from trialmi.cli import read_dataset_csv
+from trialmi.core import validate_dataset
 from trialmi.datagen import generate_trial, setting_preset
-from trialmi.errors import ImputationError, SimulationError
+from trialmi.errors import ImputationError, SimulationError, TrialMIError
 from trialmi.estimation import estimate_matrix
-from trialmi.imputation import ImputationConfig
+from trialmi.imputation import METHODS, ImputationConfig
 from trialmi.simharness import ESTIMANDS, SimPlan, analyze_dataset, run_plan
+from trialmi.survival import KINDS
 
 from .helpers import completer, load_trialgen, make_dataset, make_subject, reference_pool_rubin
+from .strategies import valid_records
 
 PARAMS = dataclasses.replace(setting_preset("setting1"), n_per_arm=60)
 
@@ -55,8 +61,10 @@ def test_typed_failure_beyond_allowance_fails_the_plan(monkeypatch):
 
 def test_programming_error_aborts_the_plan(monkeypatch):
     fail_replicate(monkeypatch, 1, ValueError("not a typed failure"))
-    with pytest.raises(ValueError, match="not a typed failure"):
+    with pytest.raises(ValueError, match="not a typed failure") as info:
         run_plan(plan(max_failure_fraction=1.0))
+    if sys.version_info >= (3, 11):
+        assert info.value.__notes__ == ["replicate 1"]
 
 
 def small_trial():
@@ -157,3 +165,33 @@ def test_shared_fit_keeps_each_configs_donor_threshold():
     assert set(analyze_dataset(data, [low], 0.95)) == {"A"}
     with pytest.raises(ImputationError, match="pooling arms"):
         analyze_dataset(data, [low, high], 0.95)
+
+
+@given(st.lists(valid_records(), min_size=24, max_size=48, unique_by=lambda r: r.id),
+       st.sampled_from(KINDS), st.sampled_from(["baseline-only", "monotone-sequential"]))
+def test_valid_dataset_gives_finite_estimates_or_a_typed_error(records, kind, conditioning):
+    # Most such datasets stop with a typed short-donor-pool error; about a
+    # quarter reach the finiteness checks.
+    data = make_dataset(records)
+    assert not validate_dataset(data)
+    imputed = []
+    impute = simharness.impute_matrix
+
+    def recording(dataset, cfg, **kw):
+        imputed.append(impute(dataset, cfg, **kw))
+        return imputed[-1]
+    configs = [ImputationConfig(method=m, m=3, min_donor_pool=2, survival_kind=kind,
+                                mar_conditioning=conditioning) for m in METHODS]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simharness, "impute_matrix", recording)
+        try:
+            pooled = analyze_dataset(data, configs, 0.95)
+        except TrialMIError:
+            return
+    observed = [j for j, s in enumerate(records) if s.endpoint is not None]
+    for result in imputed:
+        assert np.isfinite(result.endpoints).all()
+        assert (result.endpoints[:, observed] == [records[j].endpoint for j in observed]).all()
+    for by_estimand in pooled.values():
+        for p in by_estimand.values():
+            assert np.isfinite([p.point, p.within, p.between, p.total, p.ci_low, p.ci_high]).all()
