@@ -151,8 +151,11 @@ def _resolve_gen_params(config: dict, preset_flag: Optional[str]) -> tuple[GenPa
 
 
 def _cast(value, kind: type, name: str):
-    """``value`` as an int or a float, or a ConfigError that names the setting."""
+    """``value`` as an int or a float, or a ConfigError that names the setting.
+    A JSON true or false is not a number here."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         out = kind(value)
         if kind is int and out != float(value):
             raise ValueError

@@ -202,6 +202,8 @@ def test_out_of_range_level_is_rejected_before_any_work(trial_csv, tmp_path, cap
     ("truth", {"gen": {"grid": [12, "a"]}}, "gen.grid[1]"),
     ("truth", {"gen": {"grid": "12,24"}}, "gen.grid"),
     ("truth", {"gen": {"c_control": [0.2, None, 0.2, 0.2]}}, "gen.c_control[1]"),
+    ("simulate", {"gen": {"n_per_arm": True}}, "gen.n_per_arm"),
+    ("truth", {"plan": {"seed": True}}, "plan.seed"),
 ])
 def test_non_numeric_setting_names_the_setting(trial_csv, tmp_path, capsys, command, config, name):
     argv = (command, trial_csv) if command == "analyze" else (command,)
