@@ -11,6 +11,15 @@ Dataset CSV schema (one row per subject): ``id, arm, baseline, y<week>...,
 disc_week, withdraw_week, withdraw_type`` where the ``y<week>`` columns declare
 the visit grid (e.g. y12,y24,y36,y48), empty cells mean missing, and
 withdraw_type is ``admin``/``other`` (required when withdraw_week is present).
+
+Config file (``--config``, JSON): sections and the commands that use them;
+flags override the file, and a key a command does not use is an error.
+  gen         any GenParams field (simulate, truth)
+  imputation  m, survival_kind, min_donor_pool, mar_conditioning,
+              gate_probability_override (simulate, analyze)
+  plan        seed (all), preset and truth_n_datasets (simulate, truth),
+              methods and ci_level (simulate, analyze), n_replicates, workers
+Numeric settings are JSON numbers; a string such as "5" is an error.
 """
 from __future__ import annotations
 
@@ -37,7 +46,8 @@ WORKERS_ENV = "TRIALMI_WORKERS"
 
 _PLAN_KEYS = {"preset", "n_replicates", "methods", "seed", "workers",
               "truth_n_datasets", "ci_level"}
-_IMPUTATION_KEYS = {f.name for f in dataclasses.fields(ImputationConfig)} - {"method", "seed"}
+_IMPUTATION_TYPES = get_type_hints(ImputationConfig)
+_IMPUTATION_KEYS = set(_IMPUTATION_TYPES) - {"method", "seed"}
 _GEN_TYPES = get_type_hints(GenParams)
 _GEN_KEYS = set(_GEN_TYPES)
 #: Config sections and keys each command does not use, and so rejects.
@@ -125,11 +135,13 @@ def _load_config(path: Optional[Path], command: str) -> dict:
     return doc
 
 
-def _gen_value(key: str, value):
-    """A ``gen`` setting as its GenParams field's type: a list becomes a tuple
-    of numbers (a VisitGrid for ``grid``), cast per element; a ConfigError
-    names the setting."""
-    kind, name = _GEN_TYPES[key], f"gen.{key}"
+def _typed(kind, value, name: str):
+    """A config setting as its dataclass field's type ``kind``: a list becomes
+    a tuple of numbers (a VisitGrid for a grid), cast per element; a string
+    setting passes as it is, for its dataclass to check; a ConfigError names
+    the setting."""
+    if kind is str:
+        return value
     if kind is VisitGrid or get_origin(kind) is tuple:
         if not isinstance(value, list):
             raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
@@ -143,7 +155,8 @@ def _gen_value(key: str, value):
 def _resolve_gen_params(config: dict, preset_flag: Optional[str]) -> tuple[GenParams, str]:
     preset = preset_flag or config.get("plan", {}).get("preset") or "setting1"
     params = setting_preset(preset)
-    overrides = {key: _gen_value(key, value) for key, value in config.get("gen", {}).items()}
+    overrides = {key: _typed(_GEN_TYPES[key], value, f"gen.{key}")
+                 for key, value in config.get("gen", {}).items()}
     if overrides:
         params = dataclasses.replace(params, **overrides)
     params.validate()
@@ -152,9 +165,9 @@ def _resolve_gen_params(config: dict, preset_flag: Optional[str]) -> tuple[GenPa
 
 def _cast(value, kind: type, name: str):
     """``value`` as an int or a float, or a ConfigError that names the setting.
-    A JSON true or false is not a number here."""
+    A JSON true or false, or a string, is not a number here."""
     try:
-        if isinstance(value, bool):
+        if isinstance(value, (bool, str)):
             raise TypeError
         out = kind(value)
         if kind is int and out != float(value):
@@ -178,14 +191,18 @@ def _workers(args, config: dict) -> int:
     if workers is not None:
         return workers
     env = os.environ.get(WORKERS_ENV)
-    return _cast(env, int, WORKERS_ENV) if env else 1
+    try:
+        return int(env) if env else 1  # the variable is text, unlike a JSON setting
+    except ValueError:
+        raise ConfigError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
 
 
 def _imputation_config(config: dict, m_flag: Optional[int]) -> ImputationConfig:
     """The imputation settings: --m-imputations, else the config's imputation
     section, else the ImputationConfig defaults. Method and seed are set per
     run."""
-    values = {k: v for k, v in config.get("imputation", {}).items() if v is not None}
+    values = {k: _typed(_IMPUTATION_TYPES[k], v, f"imputation.{k}")
+              for k, v in config.get("imputation", {}).items() if v is not None}
     if m_flag is not None:
         values["m"] = m_flag
     return ImputationConfig(method=METHODS[0], **values)
@@ -230,6 +247,7 @@ def _manifest_id(identity: dict) -> str:
 
 
 def _write_manifest(out_dir: Path, identity: dict, execution: dict) -> str:
+    out_dir.mkdir(parents=True, exist_ok=True)
     mid = _manifest_id(identity)
     doc = {"manifest_id": mid, "package": "trialmi", "version": __version__,
            "identity": identity, "execution": execution}
@@ -284,8 +302,7 @@ def read_dataset_csv(path: Path) -> TrialDataset:
     if not rows:
         raise ValidationError(f"{path}: empty file")
     header = [h.strip() for h in rows[0]]
-    required = ["id", "arm", "baseline"]
-    for col in required + ["disc_week", "withdraw_week", "withdraw_type"]:
+    for col in ("id", "arm", "baseline", "disc_week", "withdraw_week", "withdraw_type"):
         if col not in header:
             raise ValidationError(f"{path}: missing column {col!r}")
     y_positions, grid = _parse_grid_columns(header)
@@ -355,24 +372,22 @@ def cmd_simulate(args) -> int:
     )
     table = run_plan(plan)
 
-    out_dir = args.out
-    out_dir.mkdir(parents=True, exist_ok=True)
     identity = {"command": "simulate", "preset": preset, "params": _params_dict(params),
                 "plan": {"n_replicates": plan.n_replicates, "methods": list(plan.methods),
                          "seed": plan.seed, "truth_n_datasets": plan.truth_n_datasets,
                          "ci_level": plan.ci_level,
                          "imputation": _imputation_identity(plan.imputation)}}
-    mid = _write_manifest(out_dir, identity, {"workers": plan.workers,
+    mid = _write_manifest(args.out, identity, {"workers": plan.workers,
                                               "n_excluded": table.n_excluded})
-    _write_csv(out_dir / "metrics.csv", mid, ["method", "estimand", "BIAS", "ESE", "ASE", "CP"],
+    _write_csv(args.out / "metrics.csv", mid, ["method", "estimand", "BIAS", "ESE", "ASE", "CP"],
                [[r.method, r.estimand, _fmt(r.bias), _fmt(r.ese), _fmt(r.ase), _fmt(r.cp)]
                 for r in table.rows])
     arm_name = {0: "control", 1: "treatment"}
-    _write_csv(out_dir / "scenarios.csv", mid, ["arm", "scenario", "mean_count", "mean_pct"],
+    _write_csv(args.out / "scenarios.csv", mid, ["arm", "scenario", "mean_count", "mean_pct"],
                [[arm_name[arm], label.name, _fmt(cnt), _fmt(pct)]
                 for (arm, label), (cnt, pct) in table.scenario_summary.items()])
-    _write_truth_csv(out_dir, mid, table.truth)
-    print(f"wrote metrics.csv, scenarios.csv, truth.csv, manifest.json to {out_dir}"
+    _write_truth_csv(args.out, mid, table.truth)
+    print(f"wrote metrics.csv, scenarios.csv, truth.csv, manifest.json to {args.out}"
           f" ({table.n_replicates} replicates, {table.n_excluded} excluded)")
     return 0
 
@@ -383,13 +398,11 @@ def cmd_truth(args) -> int:
     seed = _pick(args.seed, config, "plan", "seed", 0, int)
     n_datasets = _pick(args.n_datasets, config, "plan", "truth_n_datasets", 20000, int)
     truth = generate_truth(params, n_datasets, seed)
-    out_dir = args.out
-    out_dir.mkdir(parents=True, exist_ok=True)
     identity = {"command": "truth", "preset": preset, "params": _params_dict(params),
                 "seed": seed, "n_datasets": n_datasets}
-    mid = _write_manifest(out_dir, identity, {})
-    _write_truth_csv(out_dir, mid, truth)
-    print(f"wrote truth.csv to {out_dir}")
+    mid = _write_manifest(args.out, identity, {})
+    _write_truth_csv(args.out, mid, truth)
+    print(f"wrote truth.csv to {args.out}")
     return 0
 
 
@@ -412,16 +425,14 @@ def cmd_analyze(args) -> int:
             for method, by_estimand in analyze_dataset(dataset, configs, level).items()
             for estimand, p in by_estimand.items()]
 
-    out_dir = args.out
-    out_dir.mkdir(parents=True, exist_ok=True)
     identity = {"command": "analyze",
                 "dataset_sha256": hashlib.sha256(args.dataset.read_bytes()).hexdigest(),
                 "methods": list(methods), "seed": seed, "ci_level": level,
                 "imputation": _imputation_identity(imputation)}
-    mid = _write_manifest(out_dir, identity, {})
-    _write_csv(out_dir / "estimates.csv", mid,
+    mid = _write_manifest(args.out, identity, {})
+    _write_csv(args.out / "estimates.csv", mid,
                ["method", "estimand", "estimate", "se", "ci_low", "ci_high"], rows)
-    print(f"wrote estimates.csv to {out_dir}")
+    print(f"wrote estimates.csv to {args.out}")
     return 0
 
 

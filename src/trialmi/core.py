@@ -5,13 +5,19 @@ A subject's journey is summarized by three coordinates: the week of treatment
 discontinuation (if ever observed), the week and type of study withdrawal (if
 any), and which visit outcomes are missing.  Classification keys on the
 endpoint visit only; intermediate gaps are tolerated in ingested data.
+
+``TrialDataset.columns`` is the subjects' one array form, which imputation,
+survival samples and scenario counts read; it classifies each subject once.
 """
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -86,9 +92,18 @@ class SubjectRecord:
     def missing(self) -> tuple[bool, ...]:
         return tuple(y is None for y in self.outcomes)
 
-    @property
-    def endpoint_missing(self) -> bool:
-        return self.outcomes[-1] is None
+
+@dataclass(frozen=True)
+class TrialColumns:
+    """Read-only arrays over a dataset's subjects, in subject order."""
+
+    arm: np.ndarray         # (n,) 0 or 1
+    baseline: np.ndarray    # (n,)
+    y: np.ndarray           # (n, K), nan where missing
+    disc: np.ndarray        # discontinuation week, nan where absent
+    withdraw: np.ndarray    # withdrawal week, nan where absent
+    scenario: np.ndarray    # ScenarioLabel codes
+    last_obs: np.ndarray    # last observed pre-endpoint visit index, -1 if none
 
 
 @dataclass(frozen=True)
@@ -97,6 +112,27 @@ class TrialDataset:
 
     grid: VisitGrid
     subjects: tuple[SubjectRecord, ...]
+
+    @functools.cached_property
+    def columns(self) -> TrialColumns:
+        """The subjects as arrays, built on first use: an invalid dataset
+        raises ValidationError here, not when it is constructed."""
+        grid, subjects = self.grid, self.subjects
+        n, k = len(subjects), grid.n_visits
+        # Classifying first validates every record, so the arrays below are well formed.
+        scenario = np.array([classify_scenario(s, grid) for s in subjects], dtype=int)
+        y = np.array([s.outcomes for s in subjects], dtype=float).reshape(n, k)  # None -> nan
+        cols = TrialColumns(
+            arm=np.array([s.arm for s in subjects], dtype=int),
+            baseline=np.array([s.baseline for s in subjects], dtype=float),
+            y=y,
+            disc=np.array([s.disc_time for s in subjects], dtype=float),
+            withdraw=np.array([s.withdraw_time for s in subjects], dtype=float),
+            scenario=scenario,
+            last_obs=np.where(~np.isnan(y[:, :-1]), np.arange(k - 1), -1).max(axis=1, initial=-1))
+        for a in vars(cols).values():
+            a.flags.writeable = False
+        return cols
 
 
 @dataclass(frozen=True)
@@ -154,7 +190,7 @@ def classify_scenario(subject: SubjectRecord, grid: VisitGrid) -> ScenarioLabel:
     d = grid.duration
     u, v = subject.disc_time, subject.withdraw_time
     disc_before_end = u is not None and u < d
-    if not subject.endpoint_missing:
+    if subject.endpoint is not None:
         return ScenarioLabel.S3 if disc_before_end else ScenarioLabel.S1
     if disc_before_end:
         # A discontinuation recorded at the very week of an administrative
@@ -186,7 +222,7 @@ def validate_dataset(data: TrialDataset) -> list[Violation]:
 
 def scenario_counts(data: TrialDataset) -> dict[int, dict[ScenarioLabel, int]]:
     """Subject counts per arm and scenario."""
-    counts = {arm: {label: 0 for label in ScenarioLabel} for arm in (0, 1)}
-    for subject in data.subjects:
-        counts[subject.arm][classify_scenario(subject, data.grid)] += 1
-    return counts
+    cols = data.columns
+    table = np.zeros((2, len(ScenarioLabel)), dtype=int)
+    np.add.at(table, (cols.arm, cols.scenario), 1)
+    return {arm: {label: int(table[arm, label]) for label in ScenarioLabel} for arm in (0, 1)}

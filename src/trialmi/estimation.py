@@ -70,10 +70,7 @@ def pool_rubin(estimates: Sequence[tuple[float, float]] | np.ndarray, level: flo
     b = float(points.var(ddof=1))
     t = w + (1.0 + 1.0 / m) * b
 
-    if b > 0:
-        df_old = (m - 1) * (1.0 + w / ((1.0 + 1.0 / m) * b)) ** 2
-    else:
-        df_old = math.inf
+    df_old = (m - 1) * (1.0 + w / ((1.0 + 1.0 / m) * b)) ** 2 if b > 0 else math.inf
     if com_df is not None and math.isfinite(com_df):
         gamma = ((1.0 + 1.0 / m) * b / t) if t > 0 else 0.0
         df_obs = com_df * (com_df + 1.0) / (com_df + 3.0) * (1.0 - gamma)

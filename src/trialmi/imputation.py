@@ -17,7 +17,8 @@ All imputations are proper: each round redraws the donor-model residual
 variance (scaled inverse chi-square) and coefficients (conditional normal)
 from the standard noninformative-prior posterior.  Randomness is addressed by
 (seed, replicate, purpose, donor group), so methods agree bit-for-bit
-wherever their donor assignments agree.
+wherever their donor assignments agree.  Every method reads the dataset's
+cached ``TrialDataset.columns``, so no subject is classified again.
 """
 from __future__ import annotations
 
@@ -29,7 +30,8 @@ import numpy as np
 
 from ._streams import (IMPUTE_NS, PUR_GATE, PUR_MAR_PARAMS, PUR_NOISE,
                        PUR_POOL_PARAMS, PUR_RD_PARAMS, substream)
-from .core import ScenarioLabel, TrialDataset, classify_scenario
+from .core import ScenarioLabel, TrialColumns, TrialDataset
+from .core import classify_scenario  # noqa: F401 - re-exported
 from .errors import ConfigError, ImputationError
 from .survival import KINDS, PROPORTIONAL_HAZARDS, build_sample, fit_survival, prob_disc_before_end
 
@@ -82,7 +84,6 @@ class NormalImputationModel:
     cov_factor: np.ndarray          # L with L @ L.T = (W'W)^-1
     sigma2: float | np.ndarray      # floored residual-variance estimate, (m,) per round
     df: int
-    n_donors: int
 
 
 @dataclass(frozen=True)
@@ -92,38 +93,6 @@ class ImputationResult:
     endpoints: np.ndarray
     provenance_codes: np.ndarray
     fallback_events: tuple[str, ...] = ()
-
-    @property
-    def m(self) -> int:
-        return self.endpoints.shape[0]
-
-
-@dataclass(frozen=True)
-class _Arrays:
-    n: int
-    duration: float
-    arm: np.ndarray
-    x: np.ndarray
-    y: np.ndarray           # (n, K), nan where missing
-    scen: np.ndarray        # ScenarioLabel codes
-    last_obs: np.ndarray    # last observed pre-endpoint visit index, -1 if none
-    withdraw: np.ndarray    # nan where absent
-
-
-def _extract(dataset: TrialDataset) -> _Arrays:
-    grid = dataset.grid
-    k = grid.n_visits
-    subjects = dataset.subjects
-    n = len(subjects)
-    # Classifying first validates every record, so the arrays below are well formed.
-    scen = np.array([classify_scenario(s, grid) for s in subjects], dtype=int)
-    arm = np.array([s.arm for s in subjects], dtype=int)
-    x = np.array([s.baseline for s in subjects], dtype=float)
-    y = np.array([s.outcomes for s in subjects], dtype=float).reshape(n, k)  # None -> nan
-    withdraw = np.array([s.withdraw_time for s in subjects], dtype=float)
-    last_obs = np.where(~np.isnan(y[:, :-1]), np.arange(k - 1), -1).max(axis=1, initial=-1)
-    return _Arrays(n=n, duration=grid.duration, arm=arm, x=x, y=y, scen=scen,
-                   last_obs=last_obs, withdraw=withdraw)
 
 
 def fit_donor_model(design: np.ndarray, endpoints: np.ndarray, *,
@@ -151,7 +120,7 @@ def fit_donor_model(design: np.ndarray, endpoints: np.ndarray, *,
     cov = np.linalg.pinv(w.T @ w)
     vals, vecs = np.linalg.eigh((cov + cov.T) / 2.0)
     factor = vecs * np.sqrt(np.clip(vals, 0.0, None))
-    return NormalImputationModel(beta=beta.T, cov_factor=factor, sigma2=sigma2, df=df, n_donors=n)
+    return NormalImputationModel(beta=beta.T, cov_factor=factor, sigma2=sigma2, df=df)
 
 
 def posterior_draws(model: NormalImputationModel, rng: np.random.Generator, m: int):
@@ -168,25 +137,31 @@ def posterior_draws(model: NormalImputationModel, rng: np.random.Generator, m: i
     return sigma, beta
 
 
-def _donor_rows(arr: _Arrays, scen: ScenarioLabel, arm: int, visit: int) -> np.ndarray:
+def _donor_rows(cols: TrialColumns, scen: ScenarioLabel, arm: int, visit: int) -> np.ndarray:
     """Indices usable as donors: given scenario and arm, complete on the
     conditioning visit (visit = -1 means baseline-only)."""
-    ok = (arr.scen == scen) & (arr.arm == arm) & ~np.isnan(arr.y[:, -1])
+    ok = (cols.scenario == scen) & (cols.arm == arm) & ~np.isnan(cols.y[:, -1])
     if visit >= 0:
-        ok &= ~np.isnan(arr.y[:, visit])
+        ok &= ~np.isnan(cols.y[:, visit])
     return np.flatnonzero(ok)
 
 
-def _build_design(arr: _Arrays, rows: np.ndarray, visit: int, pooled: bool) -> np.ndarray:
-    cols = [np.ones(rows.size), arr.x[rows]]
+def _build_design(cols: TrialColumns, rows: np.ndarray, visit: int, pooled: bool) -> np.ndarray:
+    design = [np.ones(rows.size), cols.baseline[rows]]
     if visit >= 0:
-        cols.append(arr.y[rows, visit])
+        design.append(cols.y[rows, visit])
     if pooled:
-        cols.append(arr.arm[rows].astype(float))
-    return np.column_stack(cols)
+        design.append(cols.arm[rows].astype(float))
+    return np.column_stack(design)
 
 
-def _value_draws(arr: _Arrays, targets: np.ndarray, donor_scen: ScenarioLabel, purpose: int,
+def _short_pool(n_donors: int, visit: int, cfg: ImputationConfig) -> bool:
+    """Below the threshold, or no more donors than design columns (intercept,
+    baseline, conditioning visit), which leaves the fit no residual df."""
+    return n_donors < cfg.min_donor_pool or n_donors <= 2 + (visit >= 0)
+
+
+def _value_draws(cols: TrialColumns, targets: np.ndarray, donor_scen: ScenarioLabel, purpose: int,
                  per_visit: bool, cfg: ImputationConfig, replicate: int,
                  z: np.ndarray, fallback: set[str], fits: dict) -> np.ndarray:
     """Posterior-predictive endpoint draws, (m, n) with the target columns filled.
@@ -197,14 +172,14 @@ def _value_draws(arr: _Arrays, targets: np.ndarray, donor_scen: ScenarioLabel, p
     holds the parameter draws by stream key, for every method to reuse.
     """
     draws = np.full(z.shape, np.nan)
-    visits = arr.last_obs[targets] if per_visit else np.full(targets.size, -1)
-    for arm, visit in sorted(set(zip(arr.arm[targets].tolist(), visits.tolist()))):
-        group = targets[(arr.arm[targets] == arm) & (visits == visit)]
-        donors = _donor_rows(arr, donor_scen, arm, visit)
-        pooled = donors.size < cfg.min_donor_pool
+    visits = cols.last_obs[targets] if per_visit else np.full(targets.size, -1)
+    for arm, visit in sorted(set(zip(cols.arm[targets].tolist(), visits.tolist()))):
+        group = targets[(cols.arm[targets] == arm) & (visits == visit)]
+        donors = _donor_rows(cols, donor_scen, arm, visit)
+        pooled = _short_pool(donors.size, visit, cfg)
         if pooled:
-            donors = np.concatenate([_donor_rows(arr, donor_scen, 0, visit),
-                                     _donor_rows(arr, donor_scen, 1, visit)])
+            donors = np.concatenate([_donor_rows(cols, donor_scen, 0, visit),
+                                     _donor_rows(cols, donor_scen, 1, visit)])
             label = "adherent" if donor_scen is ScenarioLabel.S1 else "retrieved-dropout"
             fallback.add(f"{label} donors pooled across arms"
                          + (f" (conditioning visit {visit})" if visit >= 0 else ""))
@@ -212,13 +187,13 @@ def _value_draws(arr: _Arrays, targets: np.ndarray, donor_scen: ScenarioLabel, p
         key = (cfg.seed, cfg.m, cfg.min_donor_pool, purpose, scope, visit)
         if key not in fits:
             try:
-                model = fit_donor_model(_build_design(arr, donors, visit, pooled),
-                                        arr.y[donors, -1], min_donor_pool=cfg.min_donor_pool)
+                model = fit_donor_model(_build_design(cols, donors, visit, pooled),
+                                        cols.y[donors, -1], min_donor_pool=cfg.min_donor_pool)
             except ImputationError as exc:
                 raise ImputationError(f"donor pool exhausted even after pooling arms: {exc}") from exc
             rng = substream(cfg.seed, IMPUTE_NS, replicate, purpose, scope, visit + 1)
             fits[key] = posterior_draws(model, rng, cfg.m)
-        draws[:, group] = _predict(*fits[key], _build_design(arr, group, visit, pooled), z[:, group])
+        draws[:, group] = _predict(*fits[key], _build_design(cols, group, visit, pooled), z[:, group])
     return draws
 
 
@@ -229,12 +204,13 @@ def _predict(sigma: np.ndarray, beta: np.ndarray, design: np.ndarray, z: np.ndar
     return (beta @ design[:, :, None])[..., 0].T + sigma[:, None] * z
 
 
-def _gate_probabilities(dataset: TrialDataset, arr: _Arrays, s52_idx: np.ndarray,
+def _gate_probabilities(dataset: TrialDataset, s52_idx: np.ndarray,
                         cfg: ImputationConfig, fallback: set[str]) -> np.ndarray:
     if cfg.gate_probability_override is not None:
         return np.full(s52_idx.size, float(cfg.gate_probability_override))
+    cols, duration = dataset.columns, dataset.grid.duration
     out = np.zeros(s52_idx.size)
-    for arm in np.unique(arr.arm[s52_idx]).tolist():
+    for arm in np.unique(cols.arm[s52_idx]).tolist():
         sample = build_sample(dataset, arm)
         if not sample.event.any():
             # With no observed discontinuation the product-limit curve is
@@ -244,13 +220,13 @@ def _gate_probabilities(dataset: TrialDataset, arr: _Arrays, s52_idx: np.ndarray
         model = fit_survival(sample, cfg.survival_kind)
         if model.separation_fallback:
             fallback.add(f"monotone partial likelihood in arm {arm}: product-limit gate")
-        for pos in np.flatnonzero(arr.arm[s52_idx] == arm):
+        for pos in np.flatnonzero(cols.arm[s52_idx] == arm):
             j = s52_idx[pos]
-            out[pos] = prob_disc_before_end(model, float(arr.withdraw[j]), arr.duration, [arr.x[j]])
+            out[pos] = prob_disc_before_end(model, float(cols.withdraw[j]), duration, [cols.baseline[j]])
     return out
 
 
-def _pooled_donor_values(arr: _Arrays, targets: np.ndarray, out: np.ndarray,
+def _pooled_donor_values(cols: TrialColumns, targets: np.ndarray, out: np.ndarray,
                          cfg: ImputationConfig, replicate: int,
                          z: np.ndarray, fallback: set[str]) -> np.ndarray:
     """Method D: per round, refit endpoint-on-baseline using every non-withdrawn
@@ -258,22 +234,22 @@ def _pooled_donor_values(arr: _Arrays, targets: np.ndarray, out: np.ndarray,
     Returns (m, n) draws with the target columns filled."""
     draws = np.full(out.shape, np.nan)
     for arm in (0, 1):
-        group = targets[arr.arm[targets] == arm]
+        group = targets[cols.arm[targets] == arm]
         if not group.size:
             continue
-        donors = np.flatnonzero((arr.scen != ScenarioLabel.S52) & (arr.arm == arm))
-        pooled = donors.size < cfg.min_donor_pool
+        donors = np.flatnonzero((cols.scenario != ScenarioLabel.S52) & (cols.arm == arm))
+        pooled = _short_pool(donors.size, -1, cfg)
         if pooled:
-            donors = np.flatnonzero(arr.scen != ScenarioLabel.S52)
+            donors = np.flatnonzero(cols.scenario != ScenarioLabel.S52)
             fallback.add("endpoint donors pooled across arms")
         try:
-            model = fit_donor_model(_build_design(arr, donors, -1, pooled), out[:, donors].T,
+            model = fit_donor_model(_build_design(cols, donors, -1, pooled), out[:, donors].T,
                                     min_donor_pool=cfg.min_donor_pool)
         except ImputationError as exc:
             raise ImputationError(f"no usable endpoint donors for pooled imputation: {exc}") from exc
         rng = substream(cfg.seed, IMPUTE_NS, replicate, PUR_POOL_PARAMS, _ARM_POOLED if pooled else arm)
         draws[:, group] = _predict(*posterior_draws(model, rng, cfg.m),
-                                   _build_design(arr, group, -1, pooled), z[:, group])
+                                   _build_design(cols, group, -1, pooled), z[:, group])
     return draws
 
 
@@ -284,19 +260,19 @@ def impute_matrix(dataset: TrialDataset, cfg: ImputationConfig, *, replicate: in
     Calls on one dataset and replicate may pass one ``shared`` dict, so that
     the noise and the donor draws, keyed by stream, are made once for all.
     """
-    arr = _extract(dataset)
-    m, n = cfg.m, arr.n
+    cols = dataset.columns
+    m, n = cfg.m, cols.arm.size
     shared = {} if shared is None else shared
     z = shared.get((cfg.seed, m))
     if z is None:
         z = substream(cfg.seed, IMPUTE_NS, replicate, PUR_NOISE).standard_normal((m, n))
         shared[(cfg.seed, m)] = z
         z.flags.writeable = False
-    out = np.repeat(arr.y[None, :, -1], m, axis=0)
+    out = np.repeat(cols.y[None, :, -1], m, axis=0)
     prov = np.zeros((m, n), dtype=np.int8)
     fallback: set[str] = set()
 
-    s2, s4, s52 = (np.flatnonzero(arr.scen == label)
+    s2, s4, s52 = (np.flatnonzero(cols.scenario == label)
                    for label in (ScenarioLabel.S2, ScenarioLabel.S4_51, ScenarioLabel.S52))
     # Withdrawn (S5.2) subjects take adherer draws under A, retrieved-dropout
     # draws under B and either one, by their gate, under C. Under D they are
@@ -304,9 +280,9 @@ def impute_matrix(dataset: TrialDataset, cfg: ImputationConfig, *, replicate: in
     mar_targets = np.concatenate([s2, s52]) if cfg.method in ("A", "C") else s2
     rd_targets = np.concatenate([s4, s52]) if cfg.method in ("B", "C") else s4
     per_visit = cfg.mar_conditioning == MONOTONE_SEQUENTIAL
-    mar = _value_draws(arr, mar_targets, ScenarioLabel.S1, PUR_MAR_PARAMS, per_visit, cfg, replicate,
+    mar = _value_draws(cols, mar_targets, ScenarioLabel.S1, PUR_MAR_PARAMS, per_visit, cfg, replicate,
                        z, fallback, shared)
-    rd = _value_draws(arr, rd_targets, ScenarioLabel.S3, PUR_RD_PARAMS, False, cfg, replicate,
+    rd = _value_draws(cols, rd_targets, ScenarioLabel.S3, PUR_RD_PARAMS, False, cfg, replicate,
                       z, fallback, shared)
     out[:, s2], prov[:, s2] = mar[:, s2], MAR_ADHERER
     out[:, s4], prov[:, s4] = rd[:, s4], RETRIEVED_DROPOUT
@@ -316,12 +292,12 @@ def impute_matrix(dataset: TrialDataset, cfg: ImputationConfig, *, replicate: in
     elif cfg.method == "B":
         out[:, s52], prov[:, s52] = rd[:, s52], RETRIEVED_DROPOUT
     elif s52.size and cfg.method == "C":
-        p_hat = _gate_probabilities(dataset, arr, s52, cfg, fallback)
+        p_hat = _gate_probabilities(dataset, s52, cfg, fallback)
         gates = substream(cfg.seed, IMPUTE_NS, replicate, PUR_GATE).random((m, n))[:, s52] < p_hat
         out[:, s52] = np.where(gates, rd[:, s52], mar[:, s52])
         prov[:, s52] = np.where(gates, GATED_RD, GATED_ADHERER)
     elif s52.size and cfg.method == "D":
-        pooled = _pooled_donor_values(arr, s52, out, cfg, replicate, z, fallback)
+        pooled = _pooled_donor_values(cols, s52, out, cfg, replicate, z, fallback)
         out[:, s52], prov[:, s52] = pooled[:, s52], POOLED
 
     if np.isnan(out).any():

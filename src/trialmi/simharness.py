@@ -78,9 +78,8 @@ def analyze_dataset(dataset: TrialDataset, configs: Sequence[ImputationConfig], 
                     replicate: int = 0) -> dict[str, dict[str, PooledEstimate]]:
     """Impute under each config, estimate every round and pool with Rubin's
     rules: the pooled estimate per method and estimand."""
-    arms = np.array([s.arm for s in dataset.subjects])
-    n0 = int((arms == 0).sum())
-    n1 = int((arms == 1).sum())
+    arms = dataset.columns.arm
+    n0, n1 = np.bincount(arms, minlength=2).tolist()
     com_df = {"control": n0 - 1, "treatment": n1 - 1, "difference": n0 + n1 - 2}
     out: dict[str, dict[str, PooledEstimate]] = {}
     shared: dict = {}  # noise and donor draws, made once for every config
@@ -124,14 +123,9 @@ def summarize_scenarios(count_arrays: Sequence[np.ndarray], n_per_arm: int
     """Mean per-replicate subject counts and percentages per arm and scenario."""
     if not count_arrays:
         raise SimulationError("no replicates to summarize")
-    stacked = np.stack(count_arrays)
-    means = stacked.mean(axis=0)
-    out = {}
-    for arm in (0, 1):
-        for pos, label in enumerate(_LABELS):
-            mean = float(means[arm, pos])
-            out[(arm, label)] = (mean, 100.0 * mean / n_per_arm)
-    return out
+    means = np.stack(count_arrays).mean(axis=0).tolist()
+    return {(arm, label): (means[arm][pos], 100.0 * means[arm][pos] / n_per_arm)
+            for arm in (0, 1) for pos, label in enumerate(_LABELS)}
 
 
 def run_plan(plan: SimPlan) -> MetricsTable:

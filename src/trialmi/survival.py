@@ -6,7 +6,8 @@ administrative withdrawal censors the discontinuation time, completion
 censors it at the study end.  Two estimators are available: proportional
 hazards on baseline covariates (Newton-Raphson on the Breslow partial
 likelihood, Breslow baseline hazard) and the covariate-free product-limit
-estimator.
+estimator.  An arm's follow-up sample is a selection from the dataset's
+cached columns (``TrialDataset.columns``), so it classifies no subject again.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ScenarioLabel, TrialDataset, classify_scenario
+from .core import ScenarioLabel, TrialDataset
 from .errors import SurvivalError
 
 PROPORTIONAL_HAZARDS = "proportional_hazards"
@@ -78,28 +79,19 @@ def build_sample(dataset: TrialDataset, arm: int) -> SurvivalSample:
     missing endpoint) are events at their week; a non-administrative
     withdrawal with no prior discontinuation is an event at the withdrawal
     week.  Administrative withdrawals censor at the withdrawal week, everyone
-    else is censored at the study end.
+    else is censored at the study end.  Rows are ``dataset.columns``' rows of
+    the arm, in subject order.
     """
-    d = dataset.grid.duration
-    times, events, covs = [], [], []
-    for subject in dataset.subjects:
-        if subject.arm != arm:
-            continue
-        label = classify_scenario(subject, dataset.grid)
-        if label in (ScenarioLabel.S3, ScenarioLabel.S4_51):
-            if subject.disc_time is not None:
-                t, e = subject.disc_time, True
-            else:  # non-administrative withdrawal treated as discontinuation
-                t, e = subject.withdraw_time, True
-        elif label is ScenarioLabel.S52:
-            t, e = subject.withdraw_time, False
-        else:
-            t, e = d, False
-        times.append(max(float(t), TIME_FLOOR))
-        events.append(e)
-        covs.append([subject.baseline])
-    return SurvivalSample(time=np.array(times), event=np.array(events, dtype=bool),
-                          covariates=np.array(covs, dtype=float))
+    cols = dataset.columns
+    rows = cols.arm == arm
+    scen = cols.scenario[rows]
+    event = (scen == ScenarioLabel.S3) | (scen == ScenarioLabel.S4_51)
+    disc, withdraw = cols.disc[rows], cols.withdraw[rows]
+    # An event without a recorded discontinuation week is a non-administrative withdrawal.
+    time = np.where(event, np.where(np.isnan(disc), withdraw, disc),
+                    np.where(scen == ScenarioLabel.S52, withdraw, dataset.grid.duration))
+    return SurvivalSample(time=np.maximum(time, TIME_FLOOR), event=event,
+                          covariates=cols.baseline[rows][:, None])
 
 
 def _breslow_parts(beta: np.ndarray, time: np.ndarray, event: np.ndarray, x: np.ndarray):
@@ -141,16 +133,13 @@ def _breslow_baseline(beta: np.ndarray, time: np.ndarray, event: np.ndarray, x: 
     t, e, xs = time[order], event[order], x[order]
     w = np.exp(xs @ beta)
     s0 = np.cumsum(w[::-1])[::-1]
-    ev_times = np.unique(t[e])
-    starts = np.searchsorted(t, ev_times, side="left")
-    increments = np.array([(e & (t == te)).sum() / s0[start] for te, start in zip(ev_times, starts)])
-    return ev_times, np.cumsum(increments)
+    ev_times, ties = np.unique(t[e], return_counts=True)
+    return ev_times, np.cumsum(ties / s0[np.searchsorted(t, ev_times, side="left")])
 
 
 def _fit_km(time: np.ndarray, event: np.ndarray, *, fallback: bool = False) -> SurvivalModel:
-    ev_times = np.unique(time[event])
+    ev_times, d = np.unique(time[event], return_counts=True)
     at_risk = np.array([(time >= te).sum() for te in ev_times], dtype=float)
-    d = np.array([((time == te) & event).sum() for te in ev_times], dtype=float)
     surv = np.cumprod(1.0 - d / at_risk)
     return SurvivalModel(
         kind=KAPLAN_MEIER,
@@ -177,9 +166,7 @@ def fit_survival(sample: SurvivalSample, kind: str = PROPORTIONAL_HAZARDS) -> Su
     if kind == KAPLAN_MEIER:
         return _fit_km(time, event)
 
-    x_full = np.asarray(sample.covariates, dtype=float)
-    if x_full.ndim == 1:
-        x_full = x_full[:, None]
+    x_full = np.asarray(sample.covariates, dtype=float).reshape(time.size, -1)
     center = x_full.mean(axis=0)
     xc_full = x_full - center
     sd = xc_full.std(axis=0)
@@ -188,12 +175,9 @@ def fit_survival(sample: SurvivalSample, kind: str = PROPORTIONAL_HAZARDS) -> Su
     p = xc.shape[1]
 
     beta = np.zeros(p)
-    if p == 0:
-        ll, _, _ = _breslow_parts(beta, time, event, xc)
-        iterations = 0
-    else:
-        ll, grad, hess = _breslow_parts(beta, time, event, xc)
-        iterations = 0
+    ll, grad, hess = _breslow_parts(beta, time, event, xc)
+    iterations = 0
+    if p:
         for iterations in range(1, MAX_ITER + 1):
             try:
                 delta = np.linalg.solve(-hess, grad)

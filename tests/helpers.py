@@ -12,9 +12,10 @@ import numpy as np
 from scipy.special import expit
 
 from trialmi._streams import TRUTH_NS, substream
-from trialmi.core import (ADMIN_WITHDRAWAL, DEFAULT_GRID, OTHER_WITHDRAWAL, SubjectRecord,
-                          TrialDataset, VisitGrid, classify_scenario)
+from trialmi.core import (ADMIN_WITHDRAWAL, DEFAULT_GRID, OTHER_WITHDRAWAL, ScenarioLabel,
+                          SubjectRecord, TrialDataset, VisitGrid, classify_scenario)
 from trialmi.datagen import NEVER, TrueValues, draw_baseline, resolve_params
+from trialmi.survival import TIME_FLOOR, SurvivalSample
 
 _COUNTER = [0]
 
@@ -126,26 +127,52 @@ def reference_truth(params, n_datasets: int, seed: int, batch_size: int = 500) -
 
 
 def reference_extract(dataset: TrialDataset) -> dict:
-    """``imputation._extract``'s arrays, built one subject at a time."""
+    """``TrialDataset.columns``' arrays, built one subject at a time."""
     grid = dataset.grid
     k = grid.n_visits
     n = len(dataset.subjects)
-    out = {"arm": np.empty(n, dtype=int), "x": np.empty(n), "y": np.full((n, k), np.nan),
-           "scen": np.empty(n, dtype=int), "withdraw": np.full(n, np.nan),
-           "last_obs": np.full(n, -1, dtype=int)}
+    out = {"arm": np.empty(n, dtype=int), "baseline": np.empty(n), "y": np.full((n, k), np.nan),
+           "disc": np.full(n, np.nan), "withdraw": np.full(n, np.nan),
+           "scenario": np.empty(n, dtype=int), "last_obs": np.full(n, -1, dtype=int)}
     for j, subject in enumerate(dataset.subjects):
         out["arm"][j] = subject.arm
-        out["x"][j] = subject.baseline
+        out["baseline"][j] = subject.baseline
         for idx, val in enumerate(subject.outcomes):
             if val is not None:
                 out["y"][j, idx] = val
-        out["scen"][j] = classify_scenario(subject, grid)
+        out["scenario"][j] = classify_scenario(subject, grid)
+        if subject.disc_time is not None:
+            out["disc"][j] = subject.disc_time
         if subject.withdraw_time is not None:
             out["withdraw"][j] = subject.withdraw_time
         obs = np.flatnonzero(~np.isnan(out["y"][j, : k - 1]))
         if obs.size:
             out["last_obs"][j] = int(obs[-1])
     return out
+
+
+def reference_build_sample(dataset: TrialDataset, arm: int) -> SurvivalSample:
+    """``survival.build_sample`` as a loop over the arm's subjects."""
+    d = dataset.grid.duration
+    times, events, covs = [], [], []
+    for subject in dataset.subjects:
+        if subject.arm != arm:
+            continue
+        label = classify_scenario(subject, dataset.grid)
+        if label in (ScenarioLabel.S3, ScenarioLabel.S4_51):
+            if subject.disc_time is not None:
+                t, e = subject.disc_time, True
+            else:  # non-administrative withdrawal treated as discontinuation
+                t, e = subject.withdraw_time, True
+        elif label is ScenarioLabel.S52:
+            t, e = subject.withdraw_time, False
+        else:
+            t, e = d, False
+        times.append(max(float(t), TIME_FLOOR))
+        events.append(e)
+        covs.append([subject.baseline])
+    return SurvivalSample(time=np.array(times), event=np.array(events, dtype=bool),
+                          covariates=np.array(covs, dtype=float))
 
 
 def reference_predict(sigma, beta, design, z):

@@ -204,6 +204,14 @@ def test_out_of_range_level_is_rejected_before_any_work(trial_csv, tmp_path, cap
     ("truth", {"gen": {"c_control": [0.2, None, 0.2, 0.2]}}, "gen.c_control[1]"),
     ("simulate", {"gen": {"n_per_arm": True}}, "gen.n_per_arm"),
     ("truth", {"plan": {"seed": True}}, "plan.seed"),
+    ("simulate", {"imputation": {"gate_probability_override": "0.5"}}, "imputation.gate_probability_override"),
+    ("simulate", {"imputation": {"gate_probability_override": True}}, "imputation.gate_probability_override"),
+    ("analyze", {"imputation": {"m": "5"}}, "imputation.m"),
+    ("analyze", {"imputation": {"min_donor_pool": 2.5}}, "imputation.min_donor_pool"),
+    ("truth", {"gen": {"theta1": "-1.5"}}, "gen.theta1"),
+    ("truth", {"gen": {"grid": [12, 24, 36, "48"]}}, "gen.grid[3]"),
+    ("simulate", {"plan": {"n_replicates": "2"}}, "plan.n_replicates"),
+    ("analyze", {"plan": {"ci_level": "0.9"}}, "plan.ci_level"),
 ])
 def test_non_numeric_setting_names_the_setting(trial_csv, tmp_path, capsys, command, config, name):
     argv = (command, trial_csv) if command == "analyze" else (command,)
@@ -217,6 +225,13 @@ def test_non_integer_workers_variable_names_the_variable(tmp_path, capsys, monke
     assert cli.main(["simulate", "--reps", "2", "--out", str(tmp_path / "out")]) == 1
     assert f"{cli.WORKERS_ENV} must be an integer, got 'abc'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_workers_variable_is_read_as_text(tmp_path, monkeypatch):
+    monkeypatch.setenv(cli.WORKERS_ENV, "2")
+    _, manifest = run(tmp_path, "env", "simulate", "--preset", "setting1", "--reps", 2, "--truth-datasets", 50,
+                      config={"gen": {"n_per_arm": 100}, "imputation": BASE})
+    assert manifest["execution"]["workers"] == 2
 
 
 def test_gen_values_take_their_field_types(tmp_path):

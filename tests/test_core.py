@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from trialmi.cli import read_dataset_csv
 from trialmi.core import (DEFAULT_GRID, ScenarioLabel, VisitGrid, classify_scenario,
                           scenario_counts, validate_dataset)
 from trialmi.errors import ValidationError
 
-from .helpers import completer, make_dataset, make_subject
+from .helpers import completer, make_dataset, make_subject, write_csv
 from .strategies import valid_records
 
 S = ScenarioLabel
@@ -150,3 +151,27 @@ def test_scenario_codes_and_names():
     assert [(int(label), label.name) for label in S] == [
         (0, "S1"), (1, "S2"), (2, "S3"), (3, "S4_51"), (4, "S52")]
     assert make_subject([-0.3, None, -0.4, None]).missing == (False, True, False, True)
+
+
+class TestColumns:
+    def test_built_on_first_use_then_cached_and_read_only(self):
+        data = make_dataset([completer(-1.0), make_subject([-0.3, None, None, None], withdraw=13.0, arm=1)])
+        assert "columns" not in vars(data)
+        cols = data.columns
+        assert data.columns is cols
+        assert cols.scenario.tolist() == [S.S1, S.S52] and cols.arm.tolist() == [0, 1]
+        with pytest.raises(ValueError):
+            cols.y[0, 0] = 0.0
+
+    def test_invalid_dataset_is_reported_in_full_not_raised_on_construction(self, tmp_path):
+        bad = make_dataset([
+            completer(-1.0, subject_id="X1"),
+            make_subject([None, None, None, None], withdraw=60.0, subject_id="X2"),
+            make_subject([-0.1, -0.2, -0.3, -0.4], withdraw=13.0, subject_id="X3"),
+        ])
+        write_csv(bad, tmp_path / "bad.csv")
+        for data in (bad, read_dataset_csv(tmp_path / "bad.csv")):
+            report = validate_dataset(data)
+            assert {v.subject_id for v in report} == {"X2", "X3"} and len(report) == 4
+            with pytest.raises(ValidationError, match="subject X2"):
+                data.columns

@@ -14,7 +14,7 @@ from trialmi import imputation
 from trialmi.estimation import pool_rubin
 from trialmi.imputation import (GATED_ADHERER, GATED_RD, MAR_ADHERER, OBSERVED,
                                 RETRIEVED_DROPOUT, ImputationConfig, NormalImputationModel,
-                                _extract, fit_donor_model, impute_matrix, posterior_draws)
+                                fit_donor_model, impute_matrix, posterior_draws)
 from trialmi.survival import build_sample, fit_survival, prob_disc_before_end
 
 from .helpers import (completer, load_trialgen, make_dataset, make_subject, reference_extract,
@@ -99,12 +99,13 @@ def column(data, subject_id):
 
 
 def assert_extract_matches_reference(data):
-    arr, ref = _extract(data), reference_extract(data)
-    assert arr.n == len(data.subjects) and arr.duration == data.grid.duration
+    cols, ref = data.columns, reference_extract(data)
+    assert set(vars(cols)) == set(ref)
     for name, expected in ref.items():
-        got = getattr(arr, name)
+        got = getattr(cols, name)
         assert got.dtype == expected.dtype and got.shape == expected.shape, name
         assert np.array_equal(got, expected, equal_nan=True), name
+        assert not got.flags.writeable, name
 
 
 class TestExtract:
@@ -187,6 +188,33 @@ class TestWrappers:
         with pytest.raises(ImputationError, match="pooling arms"):
             impute_matrix(data, cfg("B", m=5, min_donor_pool=4))
 
+    @pytest.mark.parametrize("conditioning, n_adherers", [("baseline-only", 2), ("monotone-sequential", 3)])
+    def test_pool_no_larger_than_its_design_is_pooled(self, conditioning, n_adherers):
+        # The adherers of arm 0 fill the design (intercept, baseline and, when
+        # conditioning on visit 36, that visit) exactly, so a threshold of
+        # n_adherers must pool the arms as a higher threshold does, not fail the fit.
+        s1 = [completer(-1.0 - 0.1 * j, baseline=7.0 + 0.4 * j) for j in range(n_adherers)]
+        s1 += [completer(-1.2 + 0.05 * j, arm=1, baseline=6.5 + 0.3 * j) for j in range(10)]
+        s2 = make_subject([-0.4, -0.6, -0.7, None], baseline=8.1, subject_id="S2A")
+        rd = [completer(-0.3 + 0.1 * j, disc=12.0 * (1 + j % 3), arm=arm, baseline=7.0 + 0.5 * j)
+              for arm in (0, 1) for j in range(4)]
+        data = make_dataset(s1 + [s2] + rd)
+        at, above = (impute_matrix(data, cfg("A", m=6, min_donor_pool=k, mar_conditioning=conditioning))
+                     for k in (n_adherers, n_adherers + 1))
+        assert any(e.startswith("adherent donors pooled across arms") for e in at.fallback_events)
+        assert at.fallback_events == above.fallback_events
+        assert np.array_equal(at.endpoints, above.endpoints)
+        assert np.array_equal(at.provenance_codes, above.provenance_codes)
+
+    def test_two_donor_threshold_pools_method_d_endpoint_donors(self):
+        kept = [completer(-1.0 - 0.1 * j, baseline=7.0 + 0.4 * j) for j in range(2)]
+        kept += [completer(-1.2 + 0.05 * j, arm=1, baseline=6.5 + 0.3 * j) for j in range(10)]
+        w = make_subject([-0.4, None, None, None], withdraw=20.0, baseline=8.1, subject_id="W")
+        data = make_dataset(kept + [w])
+        two, three = (impute_matrix(data, cfg("D", m=6, min_donor_pool=k)) for k in (2, 3))
+        assert "endpoint donors pooled across arms" in two.fallback_events
+        assert np.array_equal(two.endpoints, three.endpoints)
+
     def test_constant_donors_reproduce_constant(self):
         rd = [completer(0.75, disc=12.0, baseline=8 + 0.1 * j) for j in range(6)]
         s4 = make_subject([0.1, None, None, None], disc=12.0, subject_id="X")
@@ -255,7 +283,7 @@ class TestMethodLaws:
         for m in "ABCD":
             res = impute_matrix(data, cfg(m, min_donor_pool=12))
             assert np.array_equal(res.endpoints[:, observed],
-                                  np.tile(endpoint[observed], (res.m, 1)))
+                                  np.tile(endpoint[observed], (len(res.endpoints), 1)))
             assert (res.provenance_codes[:, observed] == 0).all()
 
     def test_gate_frequency_matches_fitted_probability(self):
@@ -269,7 +297,7 @@ class TestMethodLaws:
                 continue
             p_hat = prob_disc_before_end(models[s.arm], s.withdraw_time, 48.0, [s.baseline])
             freq = (c.provenance_codes[:, j] == GATED_RD).mean()
-            se = math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / c.m)
+            se = math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / len(c.endpoints))
             assert abs(freq - p_hat) < 3 * se + 1e-9
             checked += 1
         assert checked >= 10
@@ -339,7 +367,7 @@ class TestMethodLaws:
                 beta_hat.append(b)
                 sigma2_hat.append(float(resid @ resid) / df)
             model = NormalImputationModel(
-                beta=np.array(beta_hat), sigma2=np.array(sigma2_hat), df=df, n_donors=donors.size,
+                beta=np.array(beta_hat), sigma2=np.array(sigma2_hat), df=df,
                 cov_factor=fit_donor_model(w, d.endpoints[0, donors]).cov_factor)
             rng = substream(c.seed, IMPUTE_NS, 2, PUR_POOL_PARAMS, arm)
             sigma, beta = posterior_draws(model, rng, c.m)
@@ -358,7 +386,7 @@ class TestMethodLaws:
         assert np.isfinite(res.endpoints).all()
         endpoint = np.array([np.nan if s.endpoint is None else s.endpoint for s in data.subjects])
         observed = ~np.isnan(endpoint)
-        assert np.array_equal(res.endpoints[:, observed], np.tile(endpoint[observed], (res.m, 1)))
+        assert np.array_equal(res.endpoints[:, observed], np.tile(endpoint[observed], (len(res.endpoints), 1)))
 
 
     def test_arm_without_observed_discontinuation_gates_to_adherer(self):
@@ -378,7 +406,7 @@ class TestMethodLaws:
         assert np.isfinite(res.endpoints).all()
         endpoint = np.array([np.nan if s.endpoint is None else s.endpoint for s in data.subjects])
         observed = ~np.isnan(endpoint)
-        assert np.array_equal(res.endpoints[:, observed], np.tile(endpoint[observed], (res.m, 1)))
+        assert np.array_equal(res.endpoints[:, observed], np.tile(endpoint[observed], (len(res.endpoints), 1)))
         assert (res.provenance_codes[:, column(data, "W1")] == GATED_ADHERER).all()
         assert "no observed discontinuation in arm 1: gate probability 0" in res.fallback_events
         assert not any("arm 0" in e for e in res.fallback_events)

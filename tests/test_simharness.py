@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from trialmi import imputation, simharness
+from trialmi import core, imputation, simharness
 from trialmi.cli import read_dataset_csv
-from trialmi.core import validate_dataset
+from trialmi.core import ScenarioLabel, validate_dataset
 from trialmi.datagen import generate_trial, setting_preset
 from trialmi.errors import ImputationError, SimulationError, TrialMIError
 from trialmi.estimation import estimate_matrix
@@ -75,6 +75,35 @@ def trialgen_trial(tmp_path):
     trialgen = load_trialgen()
     trialgen.write_csv(tmp_path / "trial.csv", trialgen.generate(seed=3, n_per_arm=150)[0])
     return read_dataset_csv(tmp_path / "trial.csv")
+
+
+def count_classifications(monkeypatch) -> list[int]:
+    """Counts ``core.classify_scenario`` calls through every trialmi module
+    that holds the function."""
+    original, calls = core.classify_scenario, [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "trialmi" and getattr(module, "classify_scenario", None) is original:
+            monkeypatch.setattr(module, "classify_scenario", counting)
+    return calls
+
+
+def test_analysis_classifies_each_subject_once(monkeypatch):
+    data = small_trial()
+    calls = count_classifications(monkeypatch)
+    analyze_dataset(data, configs("ABCD"), 0.95)
+    assert calls[0] == len(data.subjects)
+    assert (data.columns.scenario == ScenarioLabel.S52).any()  # method C built survival samples
+
+
+def test_replicate_classifies_each_subject_once(monkeypatch):
+    calls = count_classifications(monkeypatch)
+    result = simharness._run_replicate((PARAMS, plan(), 0))
+    assert len(result) == 3 and sorted(result[2]) == list(METHODS)
+    assert calls[0] == 2 * PARAMS.n_per_arm
 
 
 def configs(methods, **kw):

@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trialmi.core import ScenarioLabel, classify_scenario
+from trialmi.cli import read_dataset_csv
+from trialmi.core import OTHER_WITHDRAWAL, ScenarioLabel, classify_scenario
 from trialmi.datagen import generate_trial
 from trialmi.errors import SurvivalError
 from trialmi.survival import (KAPLAN_MEIER, PROPORTIONAL_HAZARDS, SurvivalSample, _breslow_parts,
                               build_sample, conditional_survival, fit_survival,
                               prob_disc_before_end)
 
-from .helpers import completer, make_dataset, make_subject
+from .helpers import completer, load_trialgen, make_dataset, make_subject, reference_build_sample
 
 
 def sample(time, event, x):
@@ -312,3 +313,21 @@ class TestBuildSample:
         labels = [classify_scenario(subj, data.grid) for subj in data.subjects if subj.arm == 1]
         n_events = sum(1 for L in labels if L in (ScenarioLabel.S3, ScenarioLabel.S4_51))
         assert int(s.event.sum()) == n_events
+
+    @pytest.mark.parametrize("source", ["setting1", "setting2", "trialgen"])
+    def test_matches_per_subject_reference(self, source, tmp_path):
+        if source == "trialgen":
+            trialgen = load_trialgen()
+            trialgen.write_csv(tmp_path / "trial.csv", trialgen.generate(seed=3, n_per_arm=150)[0])
+            data = read_dataset_csv(tmp_path / "trial.csv")
+            y = np.array([s.outcomes for s in data.subjects], dtype=float)
+            assert (np.isnan(y[:, :-1]) & ~np.isnan(y[:, -1:])).any()  # visit gaps
+            assert any(s.withdraw_type == OTHER_WITHDRAWAL and s.disc_time is None for s in data.subjects)
+        else:
+            data = generate_trial(source, seed=6)
+        for arm in (0, 1):
+            got, ref = build_sample(data, arm), reference_build_sample(data, arm)
+            for name in ("time", "event", "covariates"):
+                a, b = getattr(got, name), getattr(ref, name)
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                assert np.array_equal(a, b), name
