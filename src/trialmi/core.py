@@ -208,7 +208,15 @@ def classify_scenario(subject: SubjectRecord, grid: VisitGrid) -> ScenarioLabel:
 
 
 def validate_dataset(data: TrialDataset) -> list[Violation]:
-    """All structural violations in the dataset; empty list means valid."""
+    """All structural violations in the dataset; empty list means valid. A valid
+    dataset is checked once, by building the columns view an analysis reuses."""
+    try:
+        data.columns  # classifying the subjects checks every record
+    except ValidationError:
+        pass
+    else:
+        if len({s.id for s in data.subjects}) == len(data.subjects):
+            return []
     report: list[Violation] = []
     seen: set[str] = set()
     for subject in data.subjects:

@@ -9,12 +9,11 @@ fixed window while the control mean is unchanged.  Administrative study
 withdrawal is an independent constant-hazard event that masks every visit
 after it.
 
-One simulation kernel serves trials and truth.  Both draw each arm as arrays
-(baselines, subject effects, visit noise, then per-visit discontinuation
-uniforms) and take the first discontinuation visit from ``_first_disc_visit``.
-``generate_trial`` then draws withdrawals and endpoint missingness for the
-arm and builds the subject records; the truth oracle forms only the
-complete-data endpoint, batch by batch.
+One discontinuation kernel, ``_first_disc_visit``, serves trials and truth.
+``generate_trial`` draws each arm as arrays (baselines, subject effects,
+visit noise, then per-visit discontinuation uniforms) and builds the subject
+records after withdrawals and endpoint missingness.  The truth oracle forms
+only complete-data endpoint means, from the fewest draws each arm needs.
 """
 from __future__ import annotations
 
@@ -30,9 +29,9 @@ from .core import ADMIN_WITHDRAWAL, DEFAULT_GRID, SubjectRecord, TrialDataset, V
 from .errors import ConfigError
 
 NEVER = math.inf
-#: Datasets per truth-kernel call. It sets the truth's draw order, and so every
-#: truth value; changing it is a random-stream layout change.
-TRUTH_BATCH = 500
+#: Subjects per arm in one truth-kernel call. It sets the truth's draw order,
+#: and so every truth value; changing it is a random-stream layout change.
+TRUTH_SUBJECTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -108,7 +107,7 @@ class GenParams:
             if any(not 0 <= cj < 1 for cj in c):
                 raise ConfigError(f"arm {arm}: per-visit dropout constants must lie in [0, 1)")
             # Anchor check at zero change from baseline, where every subject
-            # starts; extreme simulated responses are clipped at draw time.
+            # starts; past 1, an extreme simulated response is a certain stop.
             base = float(expit(self.alpha0))
             if any(base + cj > 1 for cj in c):
                 raise ConfigError(f"arm {arm}: expit(alpha0) + c exceeds 1 at the zero-change anchor")
@@ -158,22 +157,24 @@ def _first_disc_visit(u: np.ndarray, level: np.ndarray, eps: np.ndarray, decay: 
 
     At visit k a subject still on treatment stops, right after the previous
     visit week (week 0 for k = 0), when ``u[k] < expit(alpha0 + alpha1 y) +
-    c_k``, where y = level * decay[k-1] + eps[..., k-1] is the previous
-    adherent change (0 at k = 0). Heavy-tailed responses can push the sum past
-    1; it is clipped to [0, 1]. With alpha1 = 0 the probability is one scalar
-    per visit. ``level`` has one value per subject, ``eps`` one per subject
-    and visit, and ``u`` leads with the visit axis.
+    c_k``, where y = level * decay[k-1] + eps[k-1] is the previous adherent
+    change (0 at k = 0). A sum past 1 is a certain stop, since u < 1. With
+    alpha1 = 0 the probability is one scalar per visit. ``level`` has one
+    value per subject; ``u`` and ``eps`` lead with the visit axis.
     """
-    visits = len(decay)
     c = params.c_visit(arm)
-    first = np.full(level.shape, visits)
-    alive = np.ones(level.shape, dtype=bool)
-    for k in range(visits):
-        y_prev = level * decay[k - 1] + eps[..., k - 1] if k and params.alpha1 != 0 else 0.0
-        prob = np.clip(expit(params.alpha0 + params.alpha1 * y_prev) + c[k], 0.0, 1.0)
-        fail = alive & (u[k] < prob)
-        first[fail] = k
-        alive &= ~fail
+    first = np.full(level.shape, len(decay))
+    prob = np.empty(level.shape)
+    # A visit's stop test ignores earlier stops, so going last to first the earliest wins.
+    for k in reversed(range(len(decay))):
+        if k and params.alpha1 != 0:
+            np.multiply(level, decay[k - 1], out=prob)
+            prob += eps[k - 1]
+            prob *= params.alpha1
+            prob += params.alpha0
+            first[u[k] < expit(prob, out=prob) + c[k]] = k
+        else:
+            first[u[k] < expit(params.alpha0) + c[k]] = k
     return first
 
 
@@ -213,7 +214,7 @@ def generate_trial(params: Union[GenParams, str], seed: int, *, replicate: int =
         u_miss = rng.random(n)
         level = p.theta(arm) + (p.beta0 + arm * p.beta1) * (x - p.baseline_mean) + s
         y = level[:, None] * decay + eps
-        t_a = disc_week[_first_disc_visit(u, level, eps, decay, arm, p)]
+        t_a = disc_week[_first_disc_visit(u, level, eps.T, decay, arm, p)]
         if arm:
             # After discontinuation the effect washes out linearly over
             # washout_weeks toward the control level; the noise is kept.
@@ -235,67 +236,63 @@ def generate_trial(params: Union[GenParams, str], seed: int, *, replicate: int =
     return TrialDataset(grid=p.grid, subjects=tuple(subjects))
 
 
-def _complete_endpoint_means(rng: np.random.Generator, params: GenParams, n_datasets: int,
-                             buffers: tuple[np.ndarray, np.ndarray, np.ndarray]):
-    """Vectorized complete-data endpoint means, one pair per dataset.
+def _complete_endpoint_means(rng: np.random.Generator, params: GenParams, n_datasets: int):
+    """Complete-data endpoint means of b = ``n_datasets`` datasets, one array per arm.
 
-    Simulates trajectories and discontinuations for every subject but imposes
-    no withdrawal or missingness; used only by the truth oracle.  The draw
-    order is the truth's random-stream layout: per arm, baselines (b, n),
-    subject effects (b, n), visit noise (b, n, K), then the discontinuation
-    uniforms (K, b, n).  Only the endpoint is formed; an arm whose effect
-    equals the control's has no washout shift, so its uniforms are skipped.
-    The effects, noise and uniforms go into ``buffers``, flat arrays of at
-    least b n, b n K and K b n values that the caller reuses across batches.
+    Used only by the truth oracle; no withdrawal or missingness. Each arm,
+    control first, draws only what its mean needs (the truth's stream
+    layout): baselines (b, n); then, when discontinuation does not move the
+    mean (dtheta = 0) or does not depend on the response (alpha1 = 0), one
+    normal (b, n) for subject effect and endpoint noise together and, if
+    dtheta != 0, one uniform (b, n) against the cumulative per-visit law;
+    otherwise subject effects (b, n), visit noise (K, b, n) and uniforms
+    (K, b, n) for ``_first_disc_visit``.
     """
     times = np.asarray(params.grid.times)
     n, visits = params.n_per_arm, len(times)
     decay = 1.0 - np.exp(-params.kappa * times)
     # Washout fraction at the endpoint by first-discontinuation visit; index K is never.
     disc_week = np.concatenate([[0.0], times[:-1]])
-    frac_at = np.append(np.minimum(np.maximum(times[-1] - disc_week, 0.0), params.washout_weeks)
-                        / params.washout_weeks, 0.0)
-    s_buf, eps_buf, u_buf = (buf[:size * n_datasets * n]
-                             for buf, size in zip(buffers, (1, visits, visits)))
+    frac_at = np.append(np.clip(times[-1] - disc_week, 0.0, params.washout_weeks) / params.washout_weeks, 0.0)
     means = {}
     for arm in (0, 1):
+        slope = params.beta0 + arm * params.beta1
         x = draw_baseline(rng, params, size=(n_datasets, n))
-        # normal(0, sd) draws sd * z from the same standard normals.
-        s = rng.standard_normal(out=s_buf.reshape(n_datasets, n))
-        s *= math.sqrt(params.sigma_s2)
-        eps = rng.standard_normal(out=eps_buf.reshape(n_datasets, n, visits))
-        eps *= math.sqrt(params.sigma_e2)
-        level = params.theta(arm) + (params.beta0 + arm * params.beta1) * (x - params.baseline_mean) + s
-        endpoint = level * decay[-1] + eps[..., -1]
+        mean = (params.theta(arm) + slope * (x.mean(axis=1) - params.baseline_mean)) * decay[-1]
         dtheta = params.theta(arm) - params.theta0
-        if dtheta == 0:
-            # Each uniform double takes one step of the PCG64 stream.
-            rng.bit_generator.advance(u_buf.size)
+        if dtheta == 0 or params.alpha1 == 0:
+            sd = math.sqrt(decay[-1] ** 2 * params.sigma_s2 + params.sigma_e2)
+            mean += sd * rng.standard_normal((n_datasets, n)).mean(axis=1)
+            if dtheta != 0:
+                # T <= k exactly when u < P(T <= k); frac_at[T] sums frac_at's falls from T on.
+                u = rng.random((n_datasets, n))
+                stop = expit(params.alpha0) + np.asarray(params.c_visit(arm))
+                for fall, p_by in zip(frac_at[:-1] - frac_at[1:], 1.0 - np.cumprod(1.0 - stop)):
+                    mean -= dtheta * decay[-1] * fall * (u < p_by).mean(axis=1)
         else:
-            u = rng.random(out=u_buf.reshape(visits, n_datasets, n))
+            s = rng.normal(0.0, math.sqrt(params.sigma_s2), size=(n_datasets, n))
+            eps = rng.normal(0.0, math.sqrt(params.sigma_e2), size=(visits, n_datasets, n))
+            u = rng.random((visits, n_datasets, n))
+            level = params.theta(arm) + slope * (x - params.baseline_mean) + s
             frac = frac_at[_first_disc_visit(u, level, eps, decay, arm, params)]
-            endpoint = endpoint - dtheta * frac * decay[-1]
-        means[arm] = endpoint.mean(axis=1)
+            mean += (s * decay[-1] + eps[-1] - dtheta * decay[-1] * frac).mean(axis=1)
+        means[arm] = mean
     return means[0], means[1]
 
 
 def generate_truth(params: Union[GenParams, str], n_datasets: int, seed: int) -> TrueValues:
-    """Average complete-data estimates over ``n_datasets`` simulated trials."""
+    """Average complete-data estimates over ``n_datasets`` simulated trials, drawn
+    ``TRUTH_SUBJECTS // n_per_arm`` (at least one) at a time so memory stays bounded."""
     p = resolve_params(params)
     if n_datasets < 1:
         raise ConfigError("n_datasets must be >= 1")
     rng = substream(seed, TRUTH_NS)
-    size = min(TRUTH_BATCH, n_datasets) * p.n_per_arm
-    buffers = (np.empty(size), np.empty(size * p.grid.n_visits), np.empty(size * p.grid.n_visits))
+    batch = max(1, TRUTH_SUBJECTS // p.n_per_arm)
     sum0 = sum1 = 0.0
-    done = 0
-    while done < n_datasets:
-        b = min(TRUTH_BATCH, n_datasets - done)
-        m0, m1 = _complete_endpoint_means(rng, p, b, buffers)
+    for done in range(0, n_datasets, batch):
+        m0, m1 = _complete_endpoint_means(rng, p, min(batch, n_datasets - done))
         sum0 += float(m0.sum())
         sum1 += float(m1.sum())
-        done += b
-    mean0 = sum0 / n_datasets
-    mean1 = sum1 / n_datasets
+    mean0, mean1 = sum0 / n_datasets, sum1 / n_datasets
     return TrueValues(mean_control=mean0, mean_treatment=mean1,
                       difference=mean1 - mean0, n_datasets=n_datasets)

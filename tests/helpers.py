@@ -11,10 +11,8 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import expit
 
-from trialmi._streams import TRUTH_NS, substream
 from trialmi.core import (ADMIN_WITHDRAWAL, DEFAULT_GRID, OTHER_WITHDRAWAL, ScenarioLabel,
                           SubjectRecord, TrialDataset, VisitGrid, classify_scenario)
-from trialmi.datagen import NEVER, TrueValues, draw_baseline, resolve_params
 from trialmi.survival import TIME_FLOOR, SurvivalSample
 
 _COUNTER = [0]
@@ -79,51 +77,21 @@ def load_trialgen():
 # kept to pin the fast forms bit for bit.
 
 
-def _reference_endpoint_means(rng, params, n_datasets):
-    """Truth kernel that builds every adherent visit value and draws each
-    visit's discontinuation uniforms separately."""
-    times = np.asarray(params.grid.times)
-    n = params.n_per_arm
-    k_end = params.grid.n_visits - 1
-    decay = 1.0 - np.exp(-params.kappa * times)
-    means = {}
-    for arm in (0, 1):
-        x = draw_baseline(rng, params, size=(n_datasets, n))
-        s = rng.normal(0.0, math.sqrt(params.sigma_s2), size=(n_datasets, n))
-        eps = rng.normal(0.0, math.sqrt(params.sigma_e2), size=(n_datasets, n, len(times)))
-        level = params.theta(arm) + (params.beta0 + arm * params.beta1) * (x - params.baseline_mean) + s
-        y_hyp = level[..., None] * decay + eps
-        c = params.c_visit(arm)
-        t_a = np.full((n_datasets, n), NEVER)
-        alive = np.ones((n_datasets, n), dtype=bool)
-        y_prev = np.zeros((n_datasets, n))
-        for k in range(len(times)):
-            prob = np.clip(expit(params.alpha0 + params.alpha1 * y_prev) + c[k], 0.0, 1.0)
-            fail = alive & (rng.random((n_datasets, n)) < prob)
-            t_a[fail] = times[k - 1] if k else 0.0
-            alive &= ~fail
-            y_prev = y_hyp[..., k]
-        frac = np.minimum(np.maximum(times[k_end] - t_a, 0.0), params.washout_weeks) / params.washout_weeks
-        endpoint = y_hyp[..., k_end] - (params.theta(arm) - params.theta0) * frac * decay[k_end]
-        means[arm] = endpoint.mean(axis=1)
-    return means[0], means[1]
-
-
-def reference_truth(params, n_datasets: int, seed: int, batch_size: int = 500) -> TrueValues:
-    """``datagen.generate_truth`` on the reference kernel."""
-    p = resolve_params(params)
-    rng = substream(seed, TRUTH_NS)
-    sum0 = sum1 = 0.0
-    done = 0
-    while done < n_datasets:
-        b = min(batch_size, n_datasets - done)
-        m0, m1 = _reference_endpoint_means(rng, p, b)
-        sum0 += float(m0.sum())
-        sum1 += float(m1.sum())
-        done += b
-    mean0, mean1 = sum0 / n_datasets, sum1 / n_datasets
-    return TrueValues(mean_control=mean0, mean_treatment=mean1,
-                      difference=mean1 - mean0, n_datasets=n_datasets)
+def reference_first_disc_visit(u, level, eps, decay, arm, params):
+    """``datagen._first_disc_visit`` with ``eps`` subject-major (its visit
+    axis last), clipped probabilities and an on-treatment mask, visits in
+    order."""
+    visits = len(decay)
+    c = params.c_visit(arm)
+    first = np.full(level.shape, visits)
+    alive = np.ones(level.shape, dtype=bool)
+    for k in range(visits):
+        y_prev = level * decay[k - 1] + eps[..., k - 1] if k and params.alpha1 != 0 else 0.0
+        prob = np.clip(expit(params.alpha0 + params.alpha1 * y_prev) + c[k], 0.0, 1.0)
+        fail = alive & (u[k] < prob)
+        first[fail] = k
+        alive &= ~fail
+    return first
 
 
 def reference_extract(dataset: TrialDataset) -> dict:

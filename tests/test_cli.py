@@ -10,12 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trialmi import cli
+from trialmi import cli, core
 from trialmi.core import ADMIN_WITHDRAWAL
 from trialmi.datagen import generate_trial
 from trialmi.imputation import ImputationConfig
 
-from .helpers import make_dataset, make_subject, write_csv
+from .helpers import completer, make_dataset, make_subject, write_csv
 
 SETTINGS = {f.name for f in dataclasses.fields(ImputationConfig)} - {"method", "seed"}
 BASE = {"m": 4, "min_donor_pool": 6}
@@ -79,6 +79,33 @@ def test_analyze_accepts_week0_administrative_withdrawal(tmp_path):
     rows = data_rows(out / "estimates.csv")[1:]
     assert len(rows) == 3
     assert np.isfinite(np.array([r[2:] for r in rows], dtype=float)).all()
+
+
+def test_analyze_checks_each_record_once(trial_csv, tmp_path, monkeypatch):
+    original, calls = core.record_violations, [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(core, "record_violations", counting)
+    run(tmp_path, "once", "analyze", trial_csv, "--m-imputations", 4)
+    assert calls[0] == len(cli.read_dataset_csv(trial_csv).subjects)
+
+
+@pytest.mark.parametrize("invalid", ["duplicate-only", "mixed"])
+def test_analyze_reports_every_violation(tmp_path, capsys, invalid):
+    subjects = [completer(-1.0, subject_id="X1"), completer(-0.5, subject_id="X1")]
+    expected = {"error: subject X1: duplicate subject id"}
+    if invalid == "mixed":
+        subjects += [make_subject([None] * 4, withdraw=60.0, subject_id="X2"),
+                     make_subject([-0.1, -0.2, -0.3, -0.4], withdraw=13.0, subject_id="X3")]
+        expected |= {"error: subject X2: withdraw_time 60.0 outside [0, 48.0]",
+                     "error: subject X3: visit 1 (week 24) observed after withdrawal at week 13"}
+    write_csv(make_dataset(subjects), tmp_path / "bad.csv")
+    assert cli.main(["analyze", str(tmp_path / "bad.csv"), "--out", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert expected <= set(lines) and len(lines) == (1 if invalid == "duplicate-only" else 5)
+    assert not (tmp_path / "out").exists()
 
 
 def test_analyze_takes_plan_settings_from_config(trial_csv, tmp_path):

@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trialmi import datagen
 from trialmi._streams import substream
 from trialmi.core import ScenarioLabel, VisitGrid, scenario_counts
-from trialmi.datagen import (GenParams, _first_disc_visit, draw_baseline, generate_trial,
-                             generate_truth, setting_preset)
+from trialmi.datagen import (TRUTH_SUBJECTS, GenParams, _first_disc_visit, draw_baseline,
+                             generate_trial, generate_truth, setting_preset)
 from trialmi.errors import ConfigError
 
-from .analytic_oracle import scenario_probabilities
-from .helpers import reference_truth
+from .analytic_oracle import exact_truth, scenario_probabilities
+from .helpers import reference_first_disc_visit
 
 S = ScenarioLabel
 BASELINE_MEAN = 7.0 + 3.0 * 1.5 / 3.5  # 8.2857...
@@ -34,6 +35,17 @@ QUIET = dict(sigma_s2=0.0, sigma_e2=0.0, baseline_scale=0.0, baseline_loc=BASELI
              p_miss_retained_dropout=0.0)
 #: A per-visit constant that, with alpha0 = -60, makes a stop all but certain.
 CERTAIN = 1.0 - 1e-12
+
+#: The discontinuation laws the truth kernel takes apart: response-dependent
+#: (setting1), response-independent (setting2), no effect shift in either arm
+#: and a single visit.
+TRUTH_CASES = {
+    "setting1": setting_preset("setting1"),
+    "setting2": setting_preset("setting2"),
+    "equal-effects": dataclasses.replace(setting_preset("setting1"), theta1=0.0),
+    "one-visit": dataclasses.replace(setting_preset("setting1"), grid=VisitGrid((48.0,)),
+                                     c_control=(0.2,), c_experimental=(0.06,)),
+}
 
 
 def trial(seed=1, replicate=0, **changes):
@@ -120,8 +132,37 @@ class TestDiscontinuation:
         # a uniform just below it stops there, one just above never stops.
         params = GenParams(alpha1=0.0, c_control=(0.2,) * 4)
         u = np.array([[0.229312 - 5e-7, 0.229312 + 5e-7]] + [[1.0 - 1e-16] * 2] * 3)
-        first = _first_disc_visit(u, np.zeros(2), np.zeros((2, 4)), np.ones(4), 0, params)
+        first = _first_disc_visit(u, np.zeros(2), np.zeros((4, 2)), np.ones(4), 0, params)
         assert first.tolist() == [0, 4]
+
+    @pytest.mark.parametrize("case", ["setting1", "clip-edge", "alpha1-zero", "one-visit"])
+    def test_visit_major_kernel_matches_reference(self, case):
+        # The visit-major kernel picks the same visit as the subject-major
+        # reference, for trial-shaped (n,) and truth-shaped (b, n) levels.
+        params, centre = setting_preset("setting1"), -1.8
+        if case == "clip-edge":
+            # Levels near 6 put expit + c past 1 after the first visit, and
+            # uniforms near 1 meet the clipped probability.
+            centre = 6.0
+        elif case == "alpha1-zero":
+            params = setting_preset("setting2")
+        elif case == "one-visit":
+            params = dataclasses.replace(params, grid=VisitGrid((48.0,)), c_control=(0.2,),
+                                         c_experimental=(0.06,))
+        visits = params.grid.n_visits
+        decay = 1.0 - np.exp(-params.kappa * np.asarray(params.grid.times))
+        g = rng(8, visits)
+        for shape in ((300,), (7, 60)):
+            level = g.normal(centre, 1.0, size=shape)
+            eps = g.normal(0.0, math.sqrt(params.sigma_e2), size=shape + (visits,))
+            u = g.random((visits,) + shape)
+            if case == "clip-edge":
+                u = 0.9 + 0.1 * u
+            for arm in (0, 1):
+                fast = _first_disc_visit(u, level, np.moveaxis(eps, -1, 0), decay, arm, params)
+                slow = reference_first_disc_visit(u, level, eps, decay, arm, params)
+                assert fast.tolist() == slow.tolist()
+                assert 0 < (fast < visits).sum() < fast.size
 
     def test_certain_at_first_visit(self):
         base = float(1.0 / (1.0 + math.exp(3.5)))
@@ -326,21 +367,28 @@ class TestTruth:
         assert truth.mean_control == pytest.approx(0.0, abs=1e-12)
         assert truth.mean_treatment == pytest.approx(params.theta1 * decay, abs=1e-12)
 
-    @pytest.mark.parametrize("params, n_datasets, seed", [
-        pytest.param("setting1", 1, 7, id="setting1-1"),
-        pytest.param("setting1", 501, 8, id="setting1-501"),
-        pytest.param("setting2", 1, 8, id="setting2-1"),
-        pytest.param("setting2", 501, 7, id="setting2-501"),
-        pytest.param(dataclasses.replace(setting_preset("setting1"), theta1=0.0), 501, 3,
-                     id="equal-effects"),
-        pytest.param(dataclasses.replace(setting_preset("setting1"), grid=VisitGrid((48.0,)),
-                                         c_control=(0.2,), c_experimental=(0.06,)), 501, 4,
-                     id="one-visit"),
-    ])
-    def test_bit_identical_to_reference_kernel(self, params, n_datasets, seed):
-        # The fast kernel keeps the reference's draws and arithmetic order,
-        # so every truth value is equal, not merely close.
-        assert generate_truth(params, n_datasets, seed) == reference_truth(params, n_datasets, seed)
+    @pytest.mark.parametrize("name", sorted(TRUTH_CASES))
+    def test_within_4_mcse_of_exact_truth(self, name):
+        # 1,001 datasets cross a batch boundary (500 per batch at n = 200).
+        assert_within_4_mcse(TRUTH_CASES[name], 1001, seed=7)
+
+    def test_exact_truth_converges(self):
+        for params in TRUTH_CASES.values():
+            coarse, fine = exact_truth(params), exact_truth(params, nodes=80)
+            for name in ("control", "treatment"):
+                assert coarse[name] == pytest.approx(fine[name], abs=1e-10)
+
+    def test_trial_size_above_the_batch_budget(self, monkeypatch):
+        # One dataset per batch keeps each batch within its subject budget.
+        kernel, sizes = datagen._complete_endpoint_means, []
+
+        def recording(rng, params, n_datasets):
+            sizes.append(n_datasets)
+            return kernel(rng, params, n_datasets)
+        monkeypatch.setattr(datagen, "_complete_endpoint_means", recording)
+        params = dataclasses.replace(setting_preset("setting1"), n_per_arm=TRUTH_SUBJECTS + 20_000)
+        assert_within_4_mcse(params, 3, seed=5)
+        assert sizes == [1, 1, 1]
 
     def test_seed_batches_agree(self):
         a = generate_truth("setting2", 2000, seed=100)
@@ -357,6 +405,18 @@ class TestTruth:
         # Response-dependent discontinuation: both read the previous adherent
         # change through the shared discontinuation kernel.
         check_trial_endpoints_match_truth("setting1")
+
+
+def assert_within_4_mcse(params, n_datasets, seed):
+    """``generate_truth`` lies within 4 Monte Carlo SE of ``exact_truth`` for
+    each arm and their difference."""
+    truth = generate_truth(params, n_datasets, seed)
+    exact = exact_truth(params)
+    (mean0, var0), (mean1, var1) = exact["control"], exact["treatment"]
+    subjects = n_datasets * params.n_per_arm
+    for value, target, var in ((truth.mean_control, mean0, var0), (truth.mean_treatment, mean1, var1),
+                               (truth.difference, mean1 - mean0, var0 + var1)):
+        assert abs(value - target) <= 4 * math.sqrt(var / subjects), (value, target)
 
 
 def check_trial_endpoints_match_truth(preset, reps=60):

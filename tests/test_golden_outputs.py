@@ -28,9 +28,9 @@ RUNS = {
                 ("estimates.csv",)),
 }
 GOLDEN = {
-    "simulate-setting1": "86c59d5763804c23746ae0dc0c1ef3a5e2d765bbe5915ec23f5ac759c7e14e5c",
-    "simulate-setting2": "7ae6694a31abf571498fbd339cb0aceea6bb523229394261e06e1d52e4c740cb",
-    "truth": "b7c9d0016f11a9f14f9d94e86e838238596c2a856fdf771f386b76502ce8b4b5",
+    "simulate-setting1": "f6b422eb127d6633b79e06f95ad183ad9021756a19f1f22f2641f12268efe3c1",
+    "simulate-setting2": "2f8504a2bb4d309c7d90db699c27bd8749e68830c3ed9b7dc800374480911b1d",
+    "truth": "b9582262df8f0446142adeed4f74ff6808c41f39b7e71a90098e10f4c73021db",
     "analyze": "95a46d951571be8cb493524e341c3ec5fdb5fa9f06fa50825ba8ad454937b4e4",
 }
 
