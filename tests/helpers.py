@@ -11,8 +11,10 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import expit
 
+from trialmi._streams import TRUTH_NS, substream
 from trialmi.core import (ADMIN_WITHDRAWAL, DEFAULT_GRID, OTHER_WITHDRAWAL, ScenarioLabel,
                           SubjectRecord, TrialDataset, VisitGrid, classify_scenario)
+from trialmi.datagen import TRUTH_SUBJECTS, TrueValues, draw_baseline, resolve_params
 from trialmi.survival import TIME_FLOOR, SurvivalSample
 
 _COUNTER = [0]
@@ -92,6 +94,62 @@ def reference_first_disc_visit(u, level, eps, decay, arm, params):
         first[fail] = k
         alive &= ~fail
     return first
+
+
+def _reference_endpoint_means(rng, params, n_datasets):
+    """``datagen._complete_endpoint_means`` on the same draws and the same
+    arithmetic for each dataset's mean, finding each subject's first
+    discontinuation visit T apart from it: by ``reference_first_disc_visit``,
+    or, from one uniform, by searching the per-visit cumulative law built
+    visit by visit."""
+    times = np.asarray(params.grid.times)
+    n, visits = params.n_per_arm, len(times)
+    decay = 1.0 - np.exp(-params.kappa * times)
+    disc_week = np.concatenate([[0.0], times[:-1]])
+    frac_at = np.append(np.clip(times[-1] - disc_week, 0.0, params.washout_weeks) / params.washout_weeks, 0.0)
+    means = {}
+    for arm in (0, 1):
+        slope = params.beta0 + arm * params.beta1
+        dtheta = params.theta(arm) - params.theta0
+        x = draw_baseline(rng, params, size=(n_datasets, n))
+        mean = (params.theta(arm) + slope * (x.mean(axis=1) - params.baseline_mean)) * decay[-1]
+        if dtheta == 0 or params.alpha1 == 0:
+            sd = math.sqrt(decay[-1] ** 2 * params.sigma_s2 + params.sigma_e2)
+            mean += sd * rng.standard_normal((n_datasets, n)).mean(axis=1)
+            if dtheta != 0:
+                u = rng.random((n_datasets, n))
+                on, p_by = 1.0, []
+                for c in params.c_visit(arm):
+                    on *= 1.0 - (expit(params.alpha0) + c)
+                    p_by.append(1.0 - on)
+                first = np.searchsorted(p_by, u, side="right")
+                for k in range(visits):
+                    fall = frac_at[k] - frac_at[k + 1]
+                    mean -= dtheta * decay[-1] * fall * (first <= k).mean(axis=1)
+        else:
+            s = rng.normal(0.0, math.sqrt(params.sigma_s2), size=(n_datasets, n))
+            eps = rng.normal(0.0, math.sqrt(params.sigma_e2), size=(visits, n_datasets, n))
+            u = rng.random((visits, n_datasets, n))
+            level = params.theta(arm) + slope * (x - params.baseline_mean) + s
+            first = reference_first_disc_visit(u, level, np.moveaxis(eps, 0, -1), decay, arm, params)
+            mean += (s * decay[-1] + eps[-1] - dtheta * decay[-1] * frac_at[first]).mean(axis=1)
+        means[arm] = mean
+    return means[0], means[1]
+
+
+def reference_truth(params, n_datasets: int, seed: int) -> TrueValues:
+    """``datagen.generate_truth`` on the reference kernel, in the same batches."""
+    p = resolve_params(params)
+    rng = substream(seed, TRUTH_NS)
+    batch = max(1, TRUTH_SUBJECTS // p.n_per_arm)
+    sum0 = sum1 = 0.0
+    for done in range(0, n_datasets, batch):
+        m0, m1 = _reference_endpoint_means(rng, p, min(batch, n_datasets - done))
+        sum0 += float(m0.sum())
+        sum1 += float(m1.sum())
+    mean0, mean1 = sum0 / n_datasets, sum1 / n_datasets
+    return TrueValues(mean_control=mean0, mean_treatment=mean1,
+                      difference=mean1 - mean0, n_datasets=n_datasets)
 
 
 def reference_extract(dataset: TrialDataset) -> dict:

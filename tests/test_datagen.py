@@ -16,7 +16,7 @@ from trialmi.datagen import (TRUTH_SUBJECTS, GenParams, _first_disc_visit, draw_
 from trialmi.errors import ConfigError
 
 from .analytic_oracle import exact_truth, scenario_probabilities
-from .helpers import reference_first_disc_visit
+from .helpers import reference_first_disc_visit, reference_truth
 
 S = ScenarioLabel
 BASELINE_MEAN = 7.0 + 3.0 * 1.5 / 3.5  # 8.2857...
@@ -371,6 +371,18 @@ class TestTruth:
     def test_within_4_mcse_of_exact_truth(self, name):
         # 1,001 datasets cross a batch boundary (500 per batch at n = 200).
         assert_within_4_mcse(TRUTH_CASES[name], 1001, seed=7)
+
+    @pytest.mark.parametrize("params, n_datasets, seed", [
+        pytest.param("setting1", 1, 7, id="setting1-1"),
+        pytest.param("setting1", 501, 8, id="setting1-501"),
+        pytest.param("setting2", 1, 8, id="setting2-1"),
+        pytest.param("setting2", 501, 7, id="setting2-501"),
+    ])
+    def test_bit_identical_to_reference_kernel(self, params, n_datasets, seed):
+        # The reference keeps the kernel's draws and arithmetic order and finds
+        # each first discontinuation visit its own way, so every truth value
+        # is equal, not merely close. 501 datasets cross a batch boundary.
+        assert generate_truth(params, n_datasets, seed) == reference_truth(params, n_datasets, seed)
 
     def test_exact_truth_converges(self):
         for params in TRUTH_CASES.values():
