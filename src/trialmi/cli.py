@@ -15,8 +15,8 @@ withdraw_type is ``admin``/``other`` (required when withdraw_week is present).
 Config file (``--config``, JSON): sections and the commands that use them;
 flags override the file, and a key a command does not use is an error.
   gen         any GenParams field (simulate, truth)
-  imputation  m, survival_kind, min_donor_pool, mar_conditioning,
-              gate_probability_override (simulate, analyze)
+  imputation  m, min_donor_pool, mar_conditioning, gate_probability_override
+              (simulate, analyze)
   plan        seed (all), preset and truth_n_datasets (simulate, truth),
               methods and ci_level (simulate, analyze), n_replicates, workers
 Numeric settings are JSON numbers; a string such as "5" is an error.

@@ -8,8 +8,9 @@ treat that last group:
 
   A  impute from adherent completers,
   B  impute from retrieved dropouts,
-  C  draw the censored discontinuation status from a fitted survival model,
-     then impute from retrieved dropouts or adherers accordingly,
+  C  draw the censored discontinuation status from the arm's product-limit
+     probability of discontinuing between the withdrawal week and the study
+     end, then impute from retrieved dropouts or adherers accordingly,
   D  impute from all non-withdrawn subjects' endpoints, observed and
      imputed within the same round.
 
@@ -33,7 +34,7 @@ from ._streams import (IMPUTE_NS, PUR_GATE, PUR_MAR_PARAMS, PUR_NOISE,
 from .core import ScenarioLabel, TrialColumns, TrialDataset
 from .core import classify_scenario  # noqa: F401 - re-exported
 from .errors import ConfigError, ImputationError
-from .survival import KINDS, PROPORTIONAL_HAZARDS, build_sample, fit_survival, prob_disc_before_end
+from .survival import build_sample, fit_survival, prob_disc_before_end
 
 METHODS = ("A", "B", "C", "D")
 
@@ -54,7 +55,6 @@ class ImputationConfig:
     method: str
     m: int = 100
     seed: int = 0
-    survival_kind: str = PROPORTIONAL_HAZARDS
     min_donor_pool: int = 12
     mar_conditioning: str = MONOTONE_SEQUENTIAL
     gate_probability_override: Optional[float] = None
@@ -68,8 +68,6 @@ class ImputationConfig:
             raise ConfigError("m (imputation count) must be >= 2")
         if self.min_donor_pool < 2:
             raise ConfigError("min_donor_pool must be >= 2")
-        if self.survival_kind not in KINDS:
-            raise ConfigError(f"survival_kind must be one of {KINDS}")
         if self.mar_conditioning not in (BASELINE_ONLY, MONOTONE_SEQUENTIAL):
             raise ConfigError("mar_conditioning must be 'baseline-only' or 'monotone-sequential'")
         if self.gate_probability_override is not None and not 0 <= self.gate_probability_override <= 1:
@@ -209,20 +207,17 @@ def _gate_probabilities(dataset: TrialDataset, s52_idx: np.ndarray,
     if cfg.gate_probability_override is not None:
         return np.full(s52_idx.size, float(cfg.gate_probability_override))
     cols, duration = dataset.columns, dataset.grid.duration
+    arms = cols.arm[s52_idx]
     out = np.zeros(s52_idx.size)
-    for arm in np.unique(cols.arm[s52_idx]).tolist():
+    for arm in np.unique(arms).tolist():
         sample = build_sample(dataset, arm)
         if not sample.event.any():
             # With no observed discontinuation the product-limit curve is
             # S = 1, so every gate probability in the arm is 0.
             fallback.add(f"no observed discontinuation in arm {arm}: gate probability 0")
             continue
-        model = fit_survival(sample, cfg.survival_kind)
-        if model.separation_fallback:
-            fallback.add(f"monotone partial likelihood in arm {arm}: product-limit gate")
-        for pos in np.flatnonzero(cols.arm[s52_idx] == arm):
-            j = s52_idx[pos]
-            out[pos] = prob_disc_before_end(model, float(cols.withdraw[j]), duration, [cols.baseline[j]])
+        in_arm = arms == arm
+        out[in_arm] = prob_disc_before_end(fit_survival(sample), cols.withdraw[s52_idx[in_arm]], duration)
     return out
 
 

@@ -1,9 +1,11 @@
 """Oracles computed apart from the generator, from its documented model.
 
-``scenario_probabilities`` walks the discrete visit grid analytically; it
-holds only when the response coefficient of the dropout model is zero, so
-per-visit discontinuation probabilities are constants. ``exact_truth``
-integrates the complete-data endpoint by quadrature under any dropout model.
+``scenario_probabilities`` walks the discrete visit grid analytically, and
+``conditional_disc_rate`` gives a withdrawn subject's chance to discontinue
+before the study end; both hold only when the response coefficient of the
+dropout model is zero, so per-visit discontinuation probabilities are
+constants. ``exact_truth`` integrates the complete-data endpoint by
+quadrature under any dropout model.
 """
 from __future__ import annotations
 
@@ -20,13 +22,31 @@ def _expit(v: float) -> float:
     return 1.0 / (1.0 + math.exp(-v))
 
 
-def scenario_probabilities(params: GenParams, arm: int) -> dict[ScenarioLabel, float]:
+def _stop_probabilities(params: GenParams, arm: int) -> list[float]:
+    """P(discontinue at visit k | on treatment before it), one constant per visit."""
     if params.alpha1 != 0:
         raise ValueError("closed form needs response-independent dropout (alpha1 = 0)")
+    return [min(max(_expit(params.alpha0) + c, 0.0), 1.0) for c in params.c_visit(arm)]
+
+
+def conditional_disc_rate(params: GenParams, arm: int, v: np.ndarray) -> np.ndarray:
+    """P(discontinuation before the study end | none by week v), per week in ``v``.
+
+    A discontinuation at visit k happens right after the previous visit
+    week (week 0 for the first), so a subject on treatment at week v can
+    still stop at every visit whose start week exceeds v:
+    1 - prod over those visits of (1 - P(stop at k)).
+    """
+    starts = np.array([0.0, *params.grid.times[:-1]])[:, None]
+    stay = 1.0 - np.array(_stop_probabilities(params, arm))[:, None]
+    return 1.0 - np.where(starts > np.asarray(v, dtype=float), stay, 1.0).prod(axis=0)
+
+
+def scenario_probabilities(params: GenParams, arm: int) -> dict[ScenarioLabel, float]:
     times = params.grid.times
     d = params.grid.duration
     lam = params.withdrawal_hazard
-    probs = [min(max(_expit(params.alpha0) + c, 0.0), 1.0) for c in params.c_visit(arm)]
+    probs = _stop_probabilities(params, arm)
 
     disc_at = []           # P(discontinue right after t_{k-1})
     survive = 1.0

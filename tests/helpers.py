@@ -180,7 +180,7 @@ def reference_extract(dataset: TrialDataset) -> dict:
 def reference_build_sample(dataset: TrialDataset, arm: int) -> SurvivalSample:
     """``survival.build_sample`` as a loop over the arm's subjects."""
     d = dataset.grid.duration
-    times, events, covs = [], [], []
+    times, events = [], []
     for subject in dataset.subjects:
         if subject.arm != arm:
             continue
@@ -196,9 +196,7 @@ def reference_build_sample(dataset: TrialDataset, arm: int) -> SurvivalSample:
             t, e = d, False
         times.append(max(float(t), TIME_FLOOR))
         events.append(e)
-        covs.append([subject.baseline])
-    return SurvivalSample(time=np.array(times), event=np.array(events, dtype=bool),
-                          covariates=np.array(covs, dtype=float))
+    return SurvivalSample(time=np.array(times), event=np.array(events, dtype=bool))
 
 
 def reference_predict(sigma, beta, design, z):

@@ -19,8 +19,8 @@ from .helpers import completer, make_dataset, make_subject, write_csv
 
 SETTINGS = {f.name for f in dataclasses.fields(ImputationConfig)} - {"method", "seed"}
 BASE = {"m": 4, "min_donor_pool": 6}
-CHANGED = {"m": 5, "survival_kind": "kaplan_meier", "min_donor_pool": 7,
-           "mar_conditioning": "baseline-only", "gate_probability_override": 0.5}
+CHANGED = {"m": 5, "min_donor_pool": 7, "mar_conditioning": "baseline-only",
+           "gate_probability_override": 0.5}
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +147,8 @@ def test_command_rejects_config_keys_it_does_not_use(trial_csv, tmp_path, capsys
             {"plan": {"truth_n_datasets": 5}})
         err = rejects(tmp_path, capsys, {"gen": {"n_per_arm": 60}}, *argv)
         assert "analyze does not use section 'gen'" in err
+        err = rejects(tmp_path, capsys, {"imputation": {"survival_kind": "proportional_hazards"}}, *argv)
+        assert "unknown key imputation.survival_kind" in err
     else:
         argv, unused = ("truth", "--n-datasets", 20), (
             {"plan": {"methods": ["A"]}}, {"plan": {"n_replicates": 3}}, {"plan": {"workers": 4}},

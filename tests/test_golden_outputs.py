@@ -28,10 +28,10 @@ RUNS = {
                 ("estimates.csv",)),
 }
 GOLDEN = {
-    "simulate-setting1": "f6b422eb127d6633b79e06f95ad183ad9021756a19f1f22f2641f12268efe3c1",
-    "simulate-setting2": "2f8504a2bb4d309c7d90db699c27bd8749e68830c3ed9b7dc800374480911b1d",
+    "simulate-setting1": "7e60e5301e5b96e3011dd0967fcb3351fa3e3deddb252d4a6e3ebe828bc1b195",
+    "simulate-setting2": "14b64f647d6a6b9ae62488879a3b0bb345ab7058635819206ca14ff73e244bed",
     "truth": "b9582262df8f0446142adeed4f74ff6808c41f39b7e71a90098e10f4c73021db",
-    "analyze": "95a46d951571be8cb493524e341c3ec5fdb5fa9f06fa50825ba8ad454937b4e4",
+    "analyze": "9c7c7a47bbfc1375e0bfb6ebc44d63b5fdd6fbb6252f52213bd0ebbe48f05137",
 }
 
 

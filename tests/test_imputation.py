@@ -8,7 +8,7 @@ import pytest
 from trialmi._streams import IMPUTE_NS, PUR_NOISE, PUR_POOL_PARAMS, substream
 from trialmi.cli import read_dataset_csv
 from trialmi.core import ADMIN_WITHDRAWAL, ScenarioLabel, VisitGrid, classify_scenario, validate_dataset
-from trialmi.datagen import generate_trial
+from trialmi.datagen import generate_trial, setting_preset
 from trialmi.errors import ConfigError, ImputationError
 from trialmi import imputation
 from trialmi.estimation import pool_rubin
@@ -17,6 +17,7 @@ from trialmi.imputation import (GATED_ADHERER, GATED_RD, MAR_ADHERER, OBSERVED,
                                 fit_donor_model, impute_matrix, posterior_draws)
 from trialmi.survival import build_sample, fit_survival, prob_disc_before_end
 
+from .analytic_oracle import conditional_disc_rate
 from .helpers import (completer, load_trialgen, make_dataset, make_subject, reference_extract,
                       reference_predict)
 
@@ -295,12 +296,34 @@ class TestMethodLaws:
         for j, (s, L) in enumerate(zip(data.subjects, labels)):
             if L is not ScenarioLabel.S52:
                 continue
-            p_hat = prob_disc_before_end(models[s.arm], s.withdraw_time, 48.0, [s.baseline])
+            p_hat = prob_disc_before_end(models[s.arm], s.withdraw_time, 48.0)
             freq = (c.provenance_codes[:, j] == GATED_RD).mean()
             se = math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / len(c.endpoints))
             assert abs(freq - p_hat) < 3 * se + 1e-9
             checked += 1
         assert checked >= 10
+
+    def test_gate_is_calibrated_against_the_exact_rate(self):
+        # setting2's discontinuation does not depend on the response, so a
+        # withdrawn subject's chance to discontinue before the end is exact.
+        params = setting_preset("setting2")
+        per_trial = {0: [], 1: []}  # (sum of p_hat - exact, subjects) per trial
+        for r in range(100):
+            data = generate_trial("setting2", 11, replicate=r)
+            cols = data.columns
+            s52 = np.flatnonzero(cols.scenario == ScenarioLabel.S52)
+            p_hat = imputation._gate_probabilities(data, s52, cfg("C"), set())
+            for arm, rows in per_trial.items():
+                in_arm = cols.arm[s52] == arm
+                exact = conditional_disc_rate(params, arm, cols.withdraw[s52[in_arm]])
+                rows.append(((p_hat[in_arm] - exact).sum(), in_arm.sum()))
+        for arm, rows in per_trial.items():
+            gap_sum, count = np.array(rows).T
+            gap = gap_sum.sum() / count.sum()
+            # The ratio estimator's standard error, clustered by trial.
+            spread = ((gap_sum - gap * count) ** 2).sum() * len(rows) / (len(rows) - 1)
+            mcse = math.sqrt(spread) / count.sum()
+            assert abs(gap) < 4 * mcse, (arm, gap, mcse)
 
     def test_between_imputation_variance_positive(self):
         data = wide_dataset()
@@ -410,26 +433,6 @@ class TestMethodLaws:
         assert (res.provenance_codes[:, column(data, "W1")] == GATED_ADHERER).all()
         assert "no observed discontinuation in arm 1: gate probability 0" in res.fallback_events
         assert not any("arm 0" in e for e in res.fallback_events)
-
-
-    def test_separation_fallback_is_a_fallback_event(self):
-        # Each control discontinuation has the highest baseline of its risk
-        # set, so the partial likelihood is monotone.
-        subjects = [completer(-0.2 - 0.02 * j, disc=6.0 + 6 * j, baseline=9.5 - 0.1 * j) for j in range(6)]
-        subjects += [completer(-1.0 + 0.03 * j, baseline=6.0 + 0.1 * j) for j in range(10)]
-        subjects += [completer(-1.5 + 0.03 * j, arm=1, baseline=6.0 + 0.3 * j) for j in range(10)]
-        subjects.append(make_subject([-0.4, None, None, None], withdraw=13.0,
-                                     withdraw_type=ADMIN_WITHDRAWAL, baseline=6.5, subject_id="W"))
-        data = make_dataset(subjects)
-        assert validate_dataset(data) == []
-        res = impute_matrix(data, cfg("C", m=20))
-        assert res.fallback_events == ("monotone partial likelihood in arm 0: product-limit gate",)
-        model = fit_survival(build_sample(data, 0))
-        assert model.separation_fallback
-        p_hat = prob_disc_before_end(model, 13.0, 48.0, [6.5])
-        assert 0 < p_hat < 1
-        rd = res.provenance_codes[:, column(data, "W")] == GATED_RD
-        assert rd.any() and not rd.all()
 
 
 class TestCompletedDatasets:

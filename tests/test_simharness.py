@@ -16,7 +16,6 @@ from trialmi.errors import ImputationError, SimulationError, TrialMIError
 from trialmi.estimation import estimate_matrix
 from trialmi.imputation import METHODS, ImputationConfig
 from trialmi.simharness import ESTIMANDS, SimPlan, analyze_dataset, run_plan
-from trialmi.survival import KINDS
 
 from .helpers import completer, load_trialgen, make_dataset, make_subject, reference_pool_rubin
 from .strategies import valid_records
@@ -197,8 +196,8 @@ def test_shared_fit_keeps_each_configs_donor_threshold():
 
 
 @given(st.lists(valid_records(), min_size=24, max_size=48, unique_by=lambda r: r.id),
-       st.sampled_from(KINDS), st.sampled_from(["baseline-only", "monotone-sequential"]))
-def test_valid_dataset_gives_finite_estimates_or_a_typed_error(records, kind, conditioning):
+       st.sampled_from(["baseline-only", "monotone-sequential"]))
+def test_valid_dataset_gives_finite_estimates_or_a_typed_error(records, conditioning):
     # Most such datasets stop with a typed short-donor-pool error; about a
     # quarter reach the finiteness checks.
     data = make_dataset(records)
@@ -209,8 +208,8 @@ def test_valid_dataset_gives_finite_estimates_or_a_typed_error(records, kind, co
     def recording(dataset, cfg, **kw):
         imputed.append(impute(dataset, cfg, **kw))
         return imputed[-1]
-    configs = [ImputationConfig(method=m, m=3, min_donor_pool=2, survival_kind=kind,
-                                mar_conditioning=conditioning) for m in METHODS]
+    configs = [ImputationConfig(method=m, m=3, min_donor_pool=2, mar_conditioning=conditioning)
+               for m in METHODS]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simharness, "impute_matrix", recording)
         try:
