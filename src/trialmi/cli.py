@@ -15,8 +15,7 @@ withdraw_type is ``admin``/``other`` (required when withdraw_week is present).
 Config file (``--config``, JSON): sections and the commands that use them;
 flags override the file, and a key a command does not use is an error.
   gen         any GenParams field (simulate, truth)
-  imputation  m, min_donor_pool, mar_conditioning, gate_probability_override
-              (simulate, analyze)
+  imputation  m, min_donor_pool, mar_conditioning (simulate, analyze)
   plan        seed (all), preset and truth_n_datasets (simulate, truth),
               methods and ci_level (simulate, analyze), n_replicates, workers
 Numeric settings are JSON numbers; a string such as "5" is an error.
@@ -28,6 +27,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -164,13 +164,13 @@ def _resolve_gen_params(config: dict, preset_flag: Optional[str]) -> tuple[GenPa
 
 
 def _cast(value, kind: type, name: str):
-    """``value`` as an int or a float, or a ConfigError that names the setting.
-    A JSON true or false, or a string, is not a number here."""
+    """``value`` as an int or a finite float, or a ConfigError that names the
+    setting. A JSON true or false, a string, NaN or Infinity is not a number here."""
     try:
         if isinstance(value, (bool, str)):
             raise TypeError
         out = kind(value)
-        if kind is int and out != float(value):
+        if (kind is int and out != float(value)) or not math.isfinite(out):
             raise ValueError
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name} must be {'an integer' if kind is int else 'a number'}, "
@@ -420,10 +420,9 @@ def cmd_analyze(args) -> int:
         for v in violations:
             print(f"error: subject {v.subject_id}: {v.message}", file=sys.stderr)
         return 1
-    configs = [dataclasses.replace(imputation, method=m, seed=seed) for m in methods]
+    pooled = analyze_dataset(dataset, dataclasses.replace(imputation, seed=seed), methods, level)
     rows = [[method, estimand, _fmt(p.point), _fmt(p.total ** 0.5), _fmt(p.ci_low), _fmt(p.ci_high)]
-            for method, by_estimand in analyze_dataset(dataset, configs, level).items()
-            for estimand, p in by_estimand.items()]
+            for method, by_estimand in pooled.items() for estimand, p in by_estimand.items()]
 
     identity = {"command": "analyze",
                 "dataset_sha256": hashlib.sha256(args.dataset.read_bytes()).hexdigest(),

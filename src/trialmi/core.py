@@ -37,8 +37,8 @@ class VisitGrid:
     def __post_init__(self) -> None:
         if not self.times:
             raise ValidationError("visit grid is empty")
-        if any(t <= 0 for t in self.times):
-            raise ValidationError("visit weeks must be positive")
+        if bad := [t for t in self.times if not 0 < t < math.inf]:
+            raise ValidationError(f"visit week {bad[0]} must be positive and finite")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise ValidationError("visit weeks must be strictly increasing")
 

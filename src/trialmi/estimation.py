@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .errors import EstimationError
 
@@ -80,8 +79,9 @@ def pool_rubin(estimates: Sequence[tuple[float, float]] | np.ndarray, level: flo
     else:
         df = df_old
 
-    # stdtrit is the t quantile that scipy.stats.t.ppf evaluates; importing
-    # scipy.stats for it alone would add most of a second to every start.
+    # stdtrit is scipy.stats.t.ppf's t quantile, imported on first use: loading
+    # scipy.special takes about 0.3 s, which every start (--help, truth) would pay.
+    from scipy.special import stdtrit
     half = float(stdtrit(df, (1.0 + level) / 2.0)) * math.sqrt(t) if t > 0 else 0.0
     return PooledEstimate(point=qbar, within=w, between=b, total=t, df=df, level=level,
                           ci_low=qbar - half, ci_high=qbar + half, m=m)

@@ -18,14 +18,15 @@ All imputations are proper: each round redraws the donor-model residual
 variance (scaled inverse chi-square) and coefficients (conditional normal)
 from the standard noninformative-prior posterior.  Randomness is addressed by
 (seed, replicate, purpose, donor group), so methods agree bit-for-bit
-wherever their donor assignments agree.  Every method reads the dataset's
-cached ``TrialDataset.columns``, so no subject is classified again.
+wherever their donor assignments agree.  An analysis makes its ``Draws``
+once and each method selects from them (``impute_matrix``), over the
+dataset's cached ``TrialDataset.columns``.
 """
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -46,6 +47,7 @@ VARIANCE_FLOOR = 1e-8
 
 # Provenance codes per imputed value.
 OBSERVED, MAR_ADHERER, RETRIEVED_DROPOUT, POOLED, GATED_ADHERER, GATED_RD = range(6)
+_S52_CODE = {"A": MAR_ADHERER, "B": RETRIEVED_DROPOUT, "C": GATED_ADHERER, "D": POOLED}
 
 _ARM_POOLED = 2  # stream scope code when donor arms are pooled
 
@@ -57,7 +59,6 @@ class ImputationConfig:
     seed: int = 0
     min_donor_pool: int = 12
     mar_conditioning: str = MONOTONE_SEQUENTIAL
-    gate_probability_override: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
@@ -70,8 +71,6 @@ class ImputationConfig:
             raise ConfigError("min_donor_pool must be >= 2")
         if self.mar_conditioning not in (BASELINE_ONLY, MONOTONE_SEQUENTIAL):
             raise ConfigError("mar_conditioning must be 'baseline-only' or 'monotone-sequential'")
-        if self.gate_probability_override is not None and not 0 <= self.gate_probability_override <= 1:
-            raise ConfigError("gate_probability_override must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -159,42 +158,6 @@ def _short_pool(n_donors: int, visit: int, cfg: ImputationConfig) -> bool:
     return n_donors < cfg.min_donor_pool or n_donors <= 2 + (visit >= 0)
 
 
-def _value_draws(cols: TrialColumns, targets: np.ndarray, donor_scen: ScenarioLabel, purpose: int,
-                 per_visit: bool, cfg: ImputationConfig, replicate: int,
-                 z: np.ndarray, fallback: set[str], fits: dict) -> np.ndarray:
-    """Posterior-predictive endpoint draws, (m, n) with the target columns filled.
-
-    Targets are grouped by (arm, conditioning visit). Each (arm, visit) donor
-    model is fit and drawn once; a short donor pool borrows the other arm,
-    with an arm covariate, and that pooled fit serves both arms. ``fits``
-    holds the parameter draws by stream key, for every method to reuse.
-    """
-    draws = np.full(z.shape, np.nan)
-    visits = cols.last_obs[targets] if per_visit else np.full(targets.size, -1)
-    for arm, visit in sorted(set(zip(cols.arm[targets].tolist(), visits.tolist()))):
-        group = targets[(cols.arm[targets] == arm) & (visits == visit)]
-        donors = _donor_rows(cols, donor_scen, arm, visit)
-        pooled = _short_pool(donors.size, visit, cfg)
-        if pooled:
-            donors = np.concatenate([_donor_rows(cols, donor_scen, 0, visit),
-                                     _donor_rows(cols, donor_scen, 1, visit)])
-            label = "adherent" if donor_scen is ScenarioLabel.S1 else "retrieved-dropout"
-            fallback.add(f"{label} donors pooled across arms"
-                         + (f" (conditioning visit {visit})" if visit >= 0 else ""))
-        scope = _ARM_POOLED if pooled else arm
-        key = (cfg.seed, cfg.m, cfg.min_donor_pool, purpose, scope, visit)
-        if key not in fits:
-            try:
-                model = fit_donor_model(_build_design(cols, donors, visit, pooled),
-                                        cols.y[donors, -1], min_donor_pool=cfg.min_donor_pool)
-            except ImputationError as exc:
-                raise ImputationError(f"donor pool exhausted even after pooling arms: {exc}") from exc
-            rng = substream(cfg.seed, IMPUTE_NS, replicate, purpose, scope, visit + 1)
-            fits[key] = posterior_draws(model, rng, cfg.m)
-        draws[:, group] = _predict(*fits[key], _build_design(cols, group, visit, pooled), z[:, group])
-    return draws
-
-
 def _predict(sigma: np.ndarray, beta: np.ndarray, design: np.ndarray, z: np.ndarray) -> np.ndarray:
     """(m, g) draws beta_i . design_j + sigma_i z_ij. The stacked product runs
     one matrix-vector product per target, as ``beta @ row`` does, so every
@@ -202,10 +165,7 @@ def _predict(sigma: np.ndarray, beta: np.ndarray, design: np.ndarray, z: np.ndar
     return (beta @ design[:, :, None])[..., 0].T + sigma[:, None] * z
 
 
-def _gate_probabilities(dataset: TrialDataset, s52_idx: np.ndarray,
-                        cfg: ImputationConfig, fallback: set[str]) -> np.ndarray:
-    if cfg.gate_probability_override is not None:
-        return np.full(s52_idx.size, float(cfg.gate_probability_override))
+def _gate_probabilities(dataset: TrialDataset, s52_idx: np.ndarray, fallback: set[str]) -> np.ndarray:
     cols, duration = dataset.columns, dataset.grid.duration
     arms = cols.arm[s52_idx]
     out = np.zeros(s52_idx.size)
@@ -223,11 +183,10 @@ def _gate_probabilities(dataset: TrialDataset, s52_idx: np.ndarray,
 
 def _pooled_donor_values(cols: TrialColumns, targets: np.ndarray, out: np.ndarray,
                          cfg: ImputationConfig, replicate: int,
-                         z: np.ndarray, fallback: set[str]) -> np.ndarray:
+                         z: np.ndarray, fallback: set[str]) -> None:
     """Method D: per round, refit endpoint-on-baseline using every non-withdrawn
-    subject's (observed or just-imputed) endpoint, then draw for the withdrawn.
-    Returns (m, n) draws with the target columns filled."""
-    draws = np.full(out.shape, np.nan)
+    subject's (observed or just-imputed) endpoint in ``out``, then draw the
+    withdrawn ``targets`` into it."""
     for arm in (0, 1):
         group = targets[cols.arm[targets] == arm]
         if not group.size:
@@ -243,58 +202,104 @@ def _pooled_donor_values(cols: TrialColumns, targets: np.ndarray, out: np.ndarra
         except ImputationError as exc:
             raise ImputationError(f"no usable endpoint donors for pooled imputation: {exc}") from exc
         rng = substream(cfg.seed, IMPUTE_NS, replicate, PUR_POOL_PARAMS, _ARM_POOLED if pooled else arm)
-        draws[:, group] = _predict(*posterior_draws(model, rng, cfg.m),
-                                   _build_design(cols, group, -1, pooled), z[:, group])
-    return draws
+        out[:, group] = _predict(*posterior_draws(model, rng, cfg.m),
+                                 _build_design(cols, group, -1, pooled), z[:, group])
+
+
+class Draws:
+    """One analysis' draws, made once for the requested ``methods`` where one
+    of them reads them (``cfg.method`` is not read). ``filled`` (m, n) holds
+    the observed endpoints and the S2 and S4 draws. The withdrawn (``s52``)
+    have adherer draws ``mar52`` if A or C is requested, retrieved-dropout
+    draws ``rd52`` if B or C is (each else empty), and C's ``gates`` (True:
+    retrieved-dropout draw) if C is; ``fallback`` holds each method's events.
+    Draws are keyed by stream, so each method selects what it would draw alone."""
+
+    def __init__(self, dataset: TrialDataset, cfg: ImputationConfig, methods: Sequence[str],
+                 replicate: int = 0) -> None:
+        cols = dataset.columns
+        m, n = cfg.m, cols.arm.size
+        self.z = substream(cfg.seed, IMPUTE_NS, replicate, PUR_NOISE).standard_normal((m, n))
+        s2, s4, self.s52 = (np.flatnonzero(cols.scenario == label)
+                            for label in (ScenarioLabel.S2, ScenarioLabel.S4_51, ScenarioLabel.S52))
+        self.fallback: dict[str, set[str]] = {method: set() for method in methods}
+        self.filled = np.repeat(cols.y[None, :, -1], m, axis=0)
+        self.filled[:, s2], self.mar52 = self._value_draws(cols, s2, ScenarioLabel.S1, cfg, replicate)
+        self.filled[:, s4], self.rd52 = self._value_draws(cols, s4, ScenarioLabel.S3, cfg, replicate)
+        self.gates = None
+        if "C" in methods:
+            p_hat = _gate_probabilities(dataset, self.s52, self.fallback["C"])
+            uniforms = substream(cfg.seed, IMPUTE_NS, replicate, PUR_GATE).random((m, n))
+            self.gates = uniforms[:, self.s52] < p_hat
+
+    def _value_draws(self, cols: TrialColumns, own: np.ndarray, donor_scen: ScenarioLabel,
+                     cfg: ImputationConfig, replicate: int) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior-predictive draws from ``donor_scen`` (S1 or S3) donors: (m,
+        own.size) for their own S2 or S4 targets and (m, s52.size) for the
+        withdrawn, empty unless a requested method imputes those from them.
+        Targets are grouped by (arm, conditioning visit). Each (scope, visit)
+        donor model is fit and drawn once; a short donor pool borrows the
+        other arm, with an arm covariate, and that pooled fit serves both
+        arms. A method gets the pooling events of the groups it reads."""
+        adherers = donor_scen is ScenarioLabel.S1
+        s52_users = [x for x in self.fallback if x in ("C", "A" if adherers else "B")]
+        targets = np.concatenate([own, self.s52]) if s52_users else own
+        draws = np.empty((cfg.m, targets.size))
+        arms = cols.arm[targets]
+        per_visit = adherers and cfg.mar_conditioning == MONOTONE_SEQUENTIAL
+        visits = cols.last_obs[targets] if per_visit else np.full(targets.size, -1)
+        fits = {}
+        for arm, visit in sorted(set(zip(arms.tolist(), visits.tolist()))):
+            in_group = (arms == arm) & (visits == visit)
+            group = targets[in_group]
+            donors = _donor_rows(cols, donor_scen, arm, visit)
+            pooled = _short_pool(donors.size, visit, cfg)
+            if pooled:
+                donors = np.concatenate([_donor_rows(cols, donor_scen, 0, visit),
+                                         _donor_rows(cols, donor_scen, 1, visit)])
+                event = (f"{'adherent' if adherers else 'retrieved-dropout'} donors pooled across arms"
+                         + (f" (conditioning visit {visit})" if visit >= 0 else ""))
+                for method in self.fallback if in_group[:own.size].any() else s52_users:
+                    self.fallback[method].add(event)
+            key = (_ARM_POOLED if pooled else arm, visit)
+            if key not in fits:
+                try:
+                    model = fit_donor_model(_build_design(cols, donors, visit, pooled),
+                                            cols.y[donors, -1], min_donor_pool=cfg.min_donor_pool)
+                except ImputationError as exc:
+                    raise ImputationError(f"donor pool exhausted even after pooling arms: {exc}") from exc
+                purpose = PUR_MAR_PARAMS if adherers else PUR_RD_PARAMS
+                rng = substream(cfg.seed, IMPUTE_NS, replicate, purpose, key[0], visit + 1)
+                fits[key] = posterior_draws(model, rng, cfg.m)
+            draws[:, in_group] = _predict(*fits[key], _build_design(cols, group, visit, pooled),
+                                          self.z[:, group])
+        return draws[:, :own.size], draws[:, own.size:]
 
 
 def impute_matrix(dataset: TrialDataset, cfg: ImputationConfig, *, replicate: int = 0,
-                  shared: Optional[dict] = None) -> ImputationResult:
-    """All m imputation rounds as matrices; observed endpoints pass through.
-
-    Calls on one dataset and replicate may pass one ``shared`` dict, so that
-    the noise and the donor draws, keyed by stream, are made once for all.
-    """
-    cols = dataset.columns
-    m, n = cfg.m, cols.arm.size
-    shared = {} if shared is None else shared
-    z = shared.get((cfg.seed, m))
-    if z is None:
-        z = substream(cfg.seed, IMPUTE_NS, replicate, PUR_NOISE).standard_normal((m, n))
-        shared[(cfg.seed, m)] = z
-        z.flags.writeable = False
-    out = np.repeat(cols.y[None, :, -1], m, axis=0)
-    prov = np.zeros((m, n), dtype=np.int8)
-    fallback: set[str] = set()
-
-    s2, s4, s52 = (np.flatnonzero(cols.scenario == label)
-                   for label in (ScenarioLabel.S2, ScenarioLabel.S4_51, ScenarioLabel.S52))
+                  draws: Optional[Draws] = None) -> ImputationResult:
+    """All m imputation rounds of ``cfg.method`` as matrices, selected from
+    ``draws`` (made for this method alone when None); observed endpoints
+    pass through."""
+    if draws is None:
+        draws = Draws(dataset, cfg, (cfg.method,), replicate)
+    method, s52 = cfg.method, draws.s52
+    out, fallback = draws.filled.copy(), set(draws.fallback[method])
+    # Provenance by scenario code, S1 to S5.2.
+    codes = np.array([OBSERVED, MAR_ADHERER, OBSERVED, RETRIEVED_DROPOUT, _S52_CODE[method]], dtype=np.int8)
+    prov = np.repeat(codes[dataset.columns.scenario][None], cfg.m, axis=0)
     # Withdrawn (S5.2) subjects take adherer draws under A, retrieved-dropout
     # draws under B and either one, by their gate, under C. Under D they are
     # drawn last, from a refit on everyone else's completed endpoints.
-    mar_targets = np.concatenate([s2, s52]) if cfg.method in ("A", "C") else s2
-    rd_targets = np.concatenate([s4, s52]) if cfg.method in ("B", "C") else s4
-    per_visit = cfg.mar_conditioning == MONOTONE_SEQUENTIAL
-    mar = _value_draws(cols, mar_targets, ScenarioLabel.S1, PUR_MAR_PARAMS, per_visit, cfg, replicate,
-                       z, fallback, shared)
-    rd = _value_draws(cols, rd_targets, ScenarioLabel.S3, PUR_RD_PARAMS, False, cfg, replicate,
-                      z, fallback, shared)
-    out[:, s2], prov[:, s2] = mar[:, s2], MAR_ADHERER
-    out[:, s4], prov[:, s4] = rd[:, s4], RETRIEVED_DROPOUT
-
-    if cfg.method == "A":
-        out[:, s52], prov[:, s52] = mar[:, s52], MAR_ADHERER
-    elif cfg.method == "B":
-        out[:, s52], prov[:, s52] = rd[:, s52], RETRIEVED_DROPOUT
-    elif s52.size and cfg.method == "C":
-        p_hat = _gate_probabilities(dataset, s52, cfg, fallback)
-        gates = substream(cfg.seed, IMPUTE_NS, replicate, PUR_GATE).random((m, n))[:, s52] < p_hat
-        out[:, s52] = np.where(gates, rd[:, s52], mar[:, s52])
-        prov[:, s52] = np.where(gates, GATED_RD, GATED_ADHERER)
-    elif s52.size and cfg.method == "D":
-        pooled = _pooled_donor_values(cols, s52, out, cfg, replicate, z, fallback)
-        out[:, s52], prov[:, s52] = pooled[:, s52], POOLED
-
+    if method == "A":
+        out[:, s52] = draws.mar52
+    elif method == "B":
+        out[:, s52] = draws.rd52
+    elif method == "C":
+        out[:, s52] = np.where(draws.gates, draws.rd52, draws.mar52)
+        prov[:, s52] = np.where(draws.gates, GATED_RD, GATED_ADHERER)
+    else:
+        _pooled_donor_values(dataset.columns, s52, out, cfg, replicate, draws.z, fallback)
     if np.isnan(out).any():
         raise ImputationError("imputation left missing endpoints behind")
     return ImputationResult(endpoints=out, provenance_codes=prov,

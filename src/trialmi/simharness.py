@@ -18,7 +18,7 @@ from .core import ScenarioLabel, TrialDataset, scenario_counts
 from .datagen import GenParams, TrueValues, generate_trial, generate_truth, resolve_params
 from .errors import ConfigError, SimulationError, TrialMIError
 from .estimation import PooledEstimate, estimate_matrix, pool_rubin
-from .imputation import METHODS, ImputationConfig, impute_matrix
+from .imputation import METHODS, Draws, ImputationConfig, impute_matrix
 
 ESTIMANDS = ("control", "treatment", "difference")
 _LABELS = tuple(ScenarioLabel)
@@ -74,24 +74,24 @@ class MetricsTable:
     failures: tuple[str, ...]
 
 
-def analyze_dataset(dataset: TrialDataset, configs: Sequence[ImputationConfig], level: float,
-                    replicate: int = 0) -> dict[str, dict[str, PooledEstimate]]:
-    """Impute under each config, estimate every round and pool with Rubin's
-    rules: the pooled estimate per method and estimand."""
+def analyze_dataset(dataset: TrialDataset, imputation: ImputationConfig, methods: Sequence[str],
+                    level: float, replicate: int = 0) -> dict[str, dict[str, PooledEstimate]]:
+    """Impute under each method from one set of draws with the ``imputation`` settings,
+    estimate every round and pool with Rubin's rules: the pooled estimate per method and estimand."""
     arms = dataset.columns.arm
     n0, n1 = np.bincount(arms, minlength=2).tolist()
     com_df = {"control": n0 - 1, "treatment": n1 - 1, "difference": n0 + n1 - 2}
+    draws = Draws(dataset, imputation, methods, replicate)
     out: dict[str, dict[str, PooledEstimate]] = {}
-    shared: dict = {}  # noise and donor draws, made once for every config
-    for cfg in configs:
-        imputed = impute_matrix(dataset, cfg, replicate=replicate, shared=shared)
+    for method in methods:
+        imputed = impute_matrix(dataset, replace(imputation, method=method), replicate=replicate, draws=draws)
         est = estimate_matrix(arms, imputed.endpoints)
-        out[cfg.method] = {}
+        out[method] = {}
         for estimand in ESTIMANDS:
             key = estimand if estimand == "difference" else f"mean_{estimand}"
             vkey = "var_difference" if estimand == "difference" else f"var_{estimand}"
-            out[cfg.method][estimand] = pool_rubin(np.column_stack([est[key], est[vkey]]),
-                                                   level=level, com_df=com_df[estimand])
+            out[method][estimand] = pool_rubin(np.column_stack([est[key], est[vkey]]),
+                                               level=level, com_df=com_df[estimand])
     return out
 
 
@@ -103,8 +103,8 @@ def _run_replicate(args):
     try:
         dataset = generate_trial(params, plan.seed, replicate=rep)
         counts = scenario_counts(dataset)
-        configs = [replace(plan.imputation, method=m, seed=plan.seed) for m in plan.methods]
-        pooled = analyze_dataset(dataset, configs, plan.ci_level, replicate=rep)
+        pooled = analyze_dataset(dataset, replace(plan.imputation, seed=plan.seed), plan.methods,
+                                 plan.ci_level, replicate=rep)
     except TrialMIError as exc:
         return (rep, f"replicate {rep}: {type(exc).__name__}: {exc}")
     except Exception as exc:

@@ -2,6 +2,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,8 +20,7 @@ from .helpers import completer, make_dataset, make_subject, write_csv
 
 SETTINGS = {f.name for f in dataclasses.fields(ImputationConfig)} - {"method", "seed"}
 BASE = {"m": 4, "min_donor_pool": 6}
-CHANGED = {"m": 5, "min_donor_pool": 7, "mar_conditioning": "baseline-only",
-           "gate_probability_override": 0.5}
+CHANGED = {"m": 5, "min_donor_pool": 7, "mar_conditioning": "baseline-only"}
 
 
 @pytest.fixture(scope="module")
@@ -147,8 +147,9 @@ def test_command_rejects_config_keys_it_does_not_use(trial_csv, tmp_path, capsys
             {"plan": {"truth_n_datasets": 5}})
         err = rejects(tmp_path, capsys, {"gen": {"n_per_arm": 60}}, *argv)
         assert "analyze does not use section 'gen'" in err
-        err = rejects(tmp_path, capsys, {"imputation": {"survival_kind": "proportional_hazards"}}, *argv)
-        assert "unknown key imputation.survival_kind" in err
+        for key, value in (("survival_kind", "proportional_hazards"), ("gate_probability_override", 0.5)):
+            err = rejects(tmp_path, capsys, {"imputation": {key: value}}, *argv)
+            assert f"unknown key imputation.{key}" in err
     else:
         argv, unused = ("truth", "--n-datasets", 20), (
             {"plan": {"methods": ["A"]}}, {"plan": {"n_replicates": 3}}, {"plan": {"workers": 4}},
@@ -175,13 +176,17 @@ def test_simulate_accepts_every_config_key(tmp_path):
     assert manifest["execution"]["workers"] == 1
 
 
-def test_cli_import_leaves_out_scipy_stats():
+def test_cli_import_leaves_out_scipy_stats(tmp_path):
+    # No scipy module at all: loading scipy.special alone costs about a third of a second.
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, trialmi.cli; print('scipy.stats' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                            timeout=60, check=True)
-    assert result.stdout.strip() == "False"
+    loaded = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    for argv in (["--help"], ["truth", "--n-datasets", "20", "--out", str(tmp_path)]):
+        code = f"import sys, trialmi.cli; trialmi.cli.main({argv!r}); {loaded}"
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                                timeout=60, check=True)
+        assert result.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "truth.csv").exists()
 
 
 @pytest.mark.parametrize("methods", ["A,B", " a , b ", ["A", "B"]])
@@ -233,14 +238,17 @@ def test_out_of_range_level_is_rejected_before_any_work(trial_csv, tmp_path, cap
     ("truth", {"gen": {"c_control": [0.2, None, 0.2, 0.2]}}, "gen.c_control[1]"),
     ("simulate", {"gen": {"n_per_arm": True}}, "gen.n_per_arm"),
     ("truth", {"plan": {"seed": True}}, "plan.seed"),
-    ("simulate", {"imputation": {"gate_probability_override": "0.5"}}, "imputation.gate_probability_override"),
-    ("simulate", {"imputation": {"gate_probability_override": True}}, "imputation.gate_probability_override"),
+    ("truth", {"gen": {"theta1": math.nan}}, "gen.theta1"),
+    ("simulate", {"gen": {"withdrawal_hazard": math.inf}}, "gen.withdrawal_hazard"),
     ("analyze", {"imputation": {"m": "5"}}, "imputation.m"),
     ("analyze", {"imputation": {"min_donor_pool": 2.5}}, "imputation.min_donor_pool"),
     ("truth", {"gen": {"theta1": "-1.5"}}, "gen.theta1"),
     ("truth", {"gen": {"grid": [12, 24, 36, "48"]}}, "gen.grid[3]"),
     ("simulate", {"plan": {"n_replicates": "2"}}, "plan.n_replicates"),
     ("analyze", {"plan": {"ci_level": "0.9"}}, "plan.ci_level"),
+    ("truth", {"gen": {"grid": [12, 24, 36, math.inf]}}, "gen.grid[3]"),
+    ("truth", {"gen": {"mu_x": -math.inf}}, "gen.mu_x"),
+    ("analyze", {"plan": {"ci_level": math.nan}}, "plan.ci_level"),
 ])
 def test_non_numeric_setting_names_the_setting(trial_csv, tmp_path, capsys, command, config, name):
     argv = (command, trial_csv) if command == "analyze" else (command,)
@@ -284,3 +292,19 @@ def test_analyze_rejects_repeated_methods(trial_csv, tmp_path, capsys, form):
         err = rejects(tmp_path, capsys, {"plan": {"methods": ["A", "a"]}}, "analyze", trial_csv)
     assert "methods must not repeat" in err
     assert not (tmp_path / "bad").exists()
+
+
+def test_exhausted_donor_pool_is_a_runtime_failure(tmp_path, capsys):
+    # Two retrieved dropouts per arm: four pooled donors, below the default
+    # threshold of 12, for each arm's retrieved dropout with no endpoint.
+    subjects = [completer(-1.0 + 0.05 * j, arm=arm, baseline=7 + 0.1 * j)
+                for arm in (0, 1) for j in range(15)]
+    subjects += [completer(-0.3 - 0.1 * j, arm=arm, disc=12.0, baseline=7 + 0.4 * j)
+                 for arm in (0, 1) for j in range(2)]
+    subjects += [make_subject([-0.2, None, None, None], arm=arm, disc=24.0) for arm in (0, 1)]
+    write_csv(make_dataset(subjects), tmp_path / "short.csv")
+    assert cli.main(["analyze", str(tmp_path / "short.csv"), "--m-imputations", "4",
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime failure: donor pool exhausted even after pooling arms")
+    assert not (tmp_path / "out").exists()

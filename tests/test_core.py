@@ -1,5 +1,6 @@
 """Classification and validation of subject records."""
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given
@@ -22,10 +23,18 @@ class TestVisitGrid:
         assert DEFAULT_GRID.duration == 48.0
         assert DEFAULT_GRID.n_visits == 4
 
-    @pytest.mark.parametrize("times", [(), (0.0, 12.0), (12.0, 12.0), (24.0, 12.0), (-3.0, 5.0)])
-    def test_rejects_bad_grids(self, times):
-        with pytest.raises(ValidationError):
-            VisitGrid(times=times)
+    @pytest.mark.parametrize("times", [(), (0.0, 12.0), (12.0, 12.0), (24.0, 12.0), (-3.0, 5.0),
+                                       (12.0, math.nan), (12.0, math.inf)])
+    def test_rejects_bad_grids(self, times, tmp_path):
+        # Also as the y<week> columns of a dataset CSV header.
+        header = ["id", "arm", "baseline", *(f"y{t:g}" for t in times), "disc_week", "withdraw_week",
+                  "withdraw_type"]
+        (tmp_path / "grid.csv").write_text(",".join(header) + "\n")
+        finite = all(map(math.isfinite, times))
+        named = None if finite else f"visit week {times[-1]} must be positive and finite"
+        for build in (lambda: VisitGrid(times=times), lambda: read_dataset_csv(tmp_path / "grid.csv")):
+            with pytest.raises(ValidationError, match=named):
+                build()
 
 
 class TestClassification:

@@ -42,8 +42,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ImputationConfig(method="A", min_donor_pool=1)
         with pytest.raises(ConfigError):
-            ImputationConfig(method="C", gate_probability_override=1.5)
-        with pytest.raises(ConfigError):
             ImputationConfig(method="A", m=5.0)
 
 
@@ -267,14 +265,18 @@ class TestMethodLaws:
             assert np.array_equal(results["A"].endpoints, results[m].endpoints)
             assert np.array_equal(results["A"].provenance_codes, results[m].provenance_codes)
 
-    def test_gate_override_reproduces_a_and_b(self):
+    def test_gate_selects_the_a_or_b_draw(self):
         data = wide_dataset()
-        a = impute_matrix(data, cfg("A", min_donor_pool=12))
-        b = impute_matrix(data, cfg("B", min_donor_pool=12))
-        c0 = impute_matrix(data, cfg("C", min_donor_pool=12, gate_probability_override=0.0))
-        c1 = impute_matrix(data, cfg("C", min_donor_pool=12, gate_probability_override=1.0))
-        assert np.array_equal(c0.endpoints, a.endpoints)
-        assert np.array_equal(c1.endpoints, b.endpoints)
+        a, b, c = (impute_matrix(data, cfg(m, min_donor_pool=12)) for m in "ABC")
+        s52 = data.columns.scenario == ScenarioLabel.S52
+        gated = c.provenance_codes[:, s52]
+        assert np.isin(gated, (GATED_ADHERER, GATED_RD)).all()
+        for code, source in ((GATED_ADHERER, a), (GATED_RD, b)):
+            chosen = gated == code
+            assert chosen.any()
+            assert np.array_equal(c.endpoints[:, s52][chosen], source.endpoints[:, s52][chosen])
+        assert np.array_equal(c.endpoints[:, ~s52], a.endpoints[:, ~s52])
+        assert np.array_equal(c.endpoints[:, ~s52], b.endpoints[:, ~s52])
 
     def test_observed_values_never_change(self):
         data = wide_dataset()
@@ -312,7 +314,7 @@ class TestMethodLaws:
             data = generate_trial("setting2", 11, replicate=r)
             cols = data.columns
             s52 = np.flatnonzero(cols.scenario == ScenarioLabel.S52)
-            p_hat = imputation._gate_probabilities(data, s52, cfg("C"), set())
+            p_hat = imputation._gate_probabilities(data, s52, set())
             for arm, rows in per_trial.items():
                 in_arm = cols.arm[s52] == arm
                 exact = conditional_disc_rate(params, arm, cols.withdraw[s52[in_arm]])

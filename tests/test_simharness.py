@@ -93,7 +93,7 @@ def count_classifications(monkeypatch) -> list[int]:
 def test_analysis_classifies_each_subject_once(monkeypatch):
     data = small_trial()
     calls = count_classifications(monkeypatch)
-    analyze_dataset(data, configs("ABCD"), 0.95)
+    analyze_dataset(data, IMP, METHODS, 0.95)
     assert calls[0] == len(data.subjects)
     assert (data.columns.scenario == ScenarioLabel.S52).any()  # method C built survival samples
 
@@ -105,21 +105,11 @@ def test_replicate_classifies_each_subject_once(monkeypatch):
     assert calls[0] == 2 * PARAMS.n_per_arm
 
 
-def configs(methods, **kw):
-    return [ImputationConfig(method=m, **{"m": 12, "seed": 5, "min_donor_pool": 6, **kw}) for m in methods]
-
-
-MIXED = [ImputationConfig(method="A", m=12, seed=5, min_donor_pool=6),
-         ImputationConfig(method="B", m=9, seed=5, min_donor_pool=6),
-         ImputationConfig(method="C", m=12, seed=6, min_donor_pool=6),
-         ImputationConfig(method="D", m=12, seed=5, min_donor_pool=10)]
+IMP = ImputationConfig(method="A", m=12, seed=5, min_donor_pool=6)
 CASES = {
-    "DCBA": configs("DCBA"), "A": configs("A"), "C": configs("C"), "D": configs("D"),
-    "BA-baseline-only": configs("BA", mar_conditioning="baseline-only"),
-    "mixed": MIXED,
-    "mixed-conditioning": [ImputationConfig(method="A", m=12, seed=5, min_donor_pool=6),
-                           ImputationConfig(method="C", m=12, seed=5, min_donor_pool=6,
-                                            mar_conditioning="baseline-only")],
+    "DCBA": (IMP, tuple("DCBA")), "A": (IMP, ("A",)), "C": (IMP, ("C",)), "D": (IMP, ("D",)),
+    "BD": (IMP, ("B", "D")),
+    "BA-baseline-only": (dataclasses.replace(IMP, mar_conditioning="baseline-only"), ("B", "A")),
 }
 
 
@@ -135,12 +125,13 @@ def test_shared_work_matches_separate_calls(case, source, tmp_path, monkeypatch)
         calls.append((cfg, impute(dataset, cfg, **kw)))
         return calls[-1][1]
     monkeypatch.setattr(simharness, "impute_matrix", recording)
-    pooled = analyze_dataset(data, CASES[case], 0.9, replicate=3)
+    imp, methods = CASES[case]
+    pooled = analyze_dataset(data, imp, methods, 0.9, replicate=3)
 
     arms = np.array([s.arm for s in data.subjects])
     n0, n1 = int((arms == 0).sum()), int((arms == 1).sum())
     com_df = {"control": n0 - 1, "treatment": n1 - 1, "difference": n0 + n1 - 2}
-    assert [cfg for cfg, _ in calls] == CASES[case]
+    assert [cfg for cfg, _ in calls] == [dataclasses.replace(imp, method=m) for m in methods]
     for cfg, got in calls:
         fresh = imputation.impute_matrix(data, cfg, replicate=3)
         assert np.array_equal(got.endpoints, fresh.endpoints)
@@ -160,11 +151,11 @@ def test_shared_work_makes_fewer_donor_fits(monkeypatch):
     fits = []
     fit = imputation.fit_donor_model
     monkeypatch.setattr(imputation, "fit_donor_model", lambda *a, **kw: fits.append(1) or fit(*a, **kw))
-    analyze_dataset(data, configs("ABC"), 0.95)
+    analyze_dataset(data, IMP, ("A", "B", "C"), 0.95)
     shared = len(fits)
     fits.clear()
-    for cfg in configs("ABC"):
-        analyze_dataset(data, [cfg], 0.95)
+    for method in "ABC":
+        analyze_dataset(data, IMP, (method,), 0.95)
     assert 0 < shared < len(fits)
 
 
@@ -176,23 +167,9 @@ def test_method_skips_donor_groups_it_does_not_use():
                  for arm in (0, 1) for j in range(8)]
     subjects += [make_subject([-0.2, None, None, None], arm=arm, withdraw=20.0) for arm in (0, 1)]
     data = make_dataset(subjects)
-    assert set(analyze_dataset(data, configs("BD"), 0.95)) == {"B", "D"}
+    assert set(analyze_dataset(data, IMP, ("B", "D"), 0.95)) == {"B", "D"}
     with pytest.raises(ImputationError, match="pooling arms"):
-        analyze_dataset(data, configs("BA"), 0.95)
-
-
-def test_shared_fit_keeps_each_configs_donor_threshold():
-    # Three retrieved dropouts per arm: pooled, six donors pass a threshold
-    # of 4 but not one of 8, even when a config with 4 already fit them.
-    subjects = [completer(-1.0 + 0.1 * j, arm=arm, baseline=7 + 0.2 * j) for arm in (0, 1) for j in range(10)]
-    subjects += [completer(-0.3 - 0.02 * j, arm=arm, disc=12.0, baseline=7 + 0.3 * j)
-                 for arm in (0, 1) for j in range(3)]
-    subjects += [make_subject([-0.2, None, None, None], arm=arm, disc=24.0) for arm in (0, 1)]
-    data = make_dataset(subjects)
-    low, high = (ImputationConfig(method=m, m=6, min_donor_pool=k) for m, k in (("A", 4), ("B", 8)))
-    assert set(analyze_dataset(data, [low], 0.95)) == {"A"}
-    with pytest.raises(ImputationError, match="pooling arms"):
-        analyze_dataset(data, [low, high], 0.95)
+        analyze_dataset(data, IMP, ("B", "A"), 0.95)
 
 
 @given(st.lists(valid_records(), min_size=24, max_size=48, unique_by=lambda r: r.id),
@@ -208,12 +185,11 @@ def test_valid_dataset_gives_finite_estimates_or_a_typed_error(records, conditio
     def recording(dataset, cfg, **kw):
         imputed.append(impute(dataset, cfg, **kw))
         return imputed[-1]
-    configs = [ImputationConfig(method=m, m=3, min_donor_pool=2, mar_conditioning=conditioning)
-               for m in METHODS]
+    imp = ImputationConfig(method="A", m=3, min_donor_pool=2, mar_conditioning=conditioning)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simharness, "impute_matrix", recording)
         try:
-            pooled = analyze_dataset(data, configs, 0.95)
+            pooled = analyze_dataset(data, imp, METHODS, 0.95)
         except TrialMIError:
             return
     observed = [j for j, s in enumerate(records) if s.endpoint is not None]
