@@ -33,9 +33,11 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence, get_args, get_origin, get_type_hints
 
+import numpy as np
+
 from . import __version__
-from .core import (ADMIN_WITHDRAWAL, OTHER_WITHDRAWAL, SubjectRecord, TrialDataset,
-                   VisitGrid, validate_dataset)
+from .core import (ADMIN_WITHDRAWAL, NO_TYPE, OTHER_WITHDRAWAL, TrialDataset, VisitGrid,
+                   validate_dataset)
 from .datagen import GenParams, generate_truth, setting_preset
 from .errors import ConfigError, TrialMIError, ValidationError
 from .imputation import METHODS, ImputationConfig
@@ -292,7 +294,8 @@ def _parse_grid_columns(header: list[str]) -> tuple[list[int], VisitGrid]:
 
 
 def read_dataset_csv(path: Path) -> TrialDataset:
-    """Ingest a subject-level CSV; raises ValidationError with per-row diagnostics."""
+    """Ingest a subject-level CSV; raises ValidationError with per-row
+    diagnostics, or when the file holds no subject row."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -309,47 +312,48 @@ def read_dataset_csv(path: Path) -> TrialDataset:
     col = {name: header.index(name) for name in header}
 
     problems: list[str] = []
-    subjects: list[SubjectRecord] = []
-    type_map = {"admin": ADMIN_WITHDRAWAL, "other": OTHER_WITHDRAWAL, "": None}
+    parsed: list[tuple] = []  # one tuple of the dataset's fields per subject
+    type_map = {"admin": ADMIN_WITHDRAWAL, "other": OTHER_WITHDRAWAL, "": NO_TYPE}
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             problems.append(f"row {lineno}: expected {len(header)} fields, got {len(row)}")
             continue
         cell = [c.strip() for c in row]
 
-        def fnum(pos, name, *, optional=False):
+        def fnum(pos, name, *, optional=False):  # an empty cell is missing; NaN or inf is an error
             text = cell[pos]
             if text == "":
-                if optional:
-                    return None
-                problems.append(f"row {lineno}: {name} is required")
-                return None
+                if not optional:
+                    problems.append(f"row {lineno}: {name} is required")
+                return math.nan
             try:
-                return float(text)
+                value = float(text)
             except ValueError:
                 problems.append(f"row {lineno}: {name} {text!r} is not a number")
-                return None
+                return math.nan
+            if not math.isfinite(value):
+                problems.append(f"subject {cell[col['id']]}: {name} {text!r} is not finite")
+            return value
 
         arm_text = cell[col["arm"]]
         if arm_text not in ("0", "1"):
             problems.append(f"row {lineno}: arm must be 0 or 1, got {arm_text!r}")
             continue
-        baseline = fnum(col["baseline"], "baseline")
-        outcomes = tuple(fnum(pos, header[pos], optional=True) for pos in y_positions)
-        disc = fnum(col["disc_week"], "disc_week", optional=True)
-        withdraw = fnum(col["withdraw_week"], "withdraw_week", optional=True)
+        values = (cell[col["id"]], int(arm_text), fnum(col["baseline"], "baseline"),
+                  [fnum(pos, header[pos], optional=True) for pos in y_positions],
+                  fnum(col["disc_week"], "disc_week", optional=True),
+                  fnum(col["withdraw_week"], "withdraw_week", optional=True))
         type_text = cell[col["withdraw_type"]].lower()
         if type_text not in type_map:
             problems.append(f"row {lineno}: withdraw_type must be admin/other/empty, got {type_text!r}")
             continue
-        if baseline is None:
-            continue
-        subjects.append(SubjectRecord(
-            id=cell[col["id"]], arm=int(arm_text), baseline=baseline, outcomes=outcomes,
-            disc_time=disc, withdraw_time=withdraw, withdraw_type=type_map[type_text]))
+        parsed.append((*values, type_map[type_text]))
     if problems:
         raise ValidationError("\n".join(problems))
-    return TrialDataset(grid=grid, subjects=tuple(subjects))
+    if not parsed:
+        raise ValidationError(f"{path}: no subject rows")
+    ids, *arrays = zip(*parsed)
+    return TrialDataset(grid, ids, *map(np.array, arrays))
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,10 @@ after it.
 
 One discontinuation kernel, ``_first_disc_visit``, serves trials and truth.
 ``generate_trial`` draws each arm as arrays (baselines, subject effects,
-visit noise, then per-visit discontinuation uniforms) and builds the subject
-records after withdrawals and endpoint missingness.  The truth oracle forms
-only complete-data endpoint means, from the fewest draws each arm needs.
+visit noise, then per-visit discontinuation uniforms), masks withdrawals and
+endpoint missingness in those arrays, and keeps them as the dataset.  The
+truth oracle forms only complete-data endpoint means, from the fewest draws
+each arm needs.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from typing import Optional, Union
 import numpy as np
 
 from ._streams import TRIAL_NS, TRUTH_NS, substream
-from .core import ADMIN_WITHDRAWAL, DEFAULT_GRID, SubjectRecord, TrialDataset, VisitGrid
+from .core import ADMIN_WITHDRAWAL, DEFAULT_GRID, NO_TYPE, TrialDataset, VisitGrid
 from .errors import ConfigError
 
 NEVER = math.inf
@@ -208,7 +209,7 @@ def generate_trial(params: Union[GenParams, str], seed: int, *, replicate: int =
     decay = 1.0 - np.exp(-p.kappa * times)
     # Discontinuation week by first-discontinuation visit; index K is never.
     disc_week = np.concatenate([[0.0], times[:-1], [NEVER]])
-    subjects = []
+    parts = []
     for arm in (0, 1):
         x = draw_baseline(rng, p, size=n)
         s = rng.normal(0.0, math.sqrt(p.sigma_s2), size=n)
@@ -225,20 +226,16 @@ def generate_trial(params: Union[GenParams, str], seed: int, *, replicate: int =
             # washout_weeks toward the control level; the noise is kept.
             frac = np.clip(times - t_a[:, None], 0.0, p.washout_weeks) / p.washout_weeks
             y -= (p.theta(arm) - p.theta0) * frac * decay
-        v = np.where(w < d, w, NEVER)
+        v = np.where(w < d, w, np.nan)  # NaN: not withdrawn
         missing = times > v[:, None]
         p_miss = np.where(t_a < d, p.p_miss_retained_dropout, p.p_miss_completer)
-        missing[:, -1] |= (v == NEVER) & (u_miss < p_miss)
-        recorded = np.where(t_a < np.minimum(v, d), t_a, NEVER)
-        for j, (xj, yj, uj, vj) in enumerate(zip(x.tolist(), np.where(missing, None, y).tolist(),
-                                                 recorded.tolist(), v.tolist())):
-            withdrawn = vj != NEVER
-            subjects.append(SubjectRecord(
-                id=f"S{arm * n + j + 1:04d}", arm=arm, baseline=xj, outcomes=tuple(yj),
-                disc_time=None if uj == NEVER else uj,
-                withdraw_time=vj if withdrawn else None,
-                withdraw_type=ADMIN_WITHDRAWAL if withdrawn else None))
-    return TrialDataset(grid=p.grid, subjects=tuple(subjects))
+        missing[:, -1] |= np.isnan(v) & (u_miss < p_miss)
+        y[missing] = np.nan
+        parts.append((x, y, np.where(t_a < np.fmin(v, d), t_a, np.nan), v))
+    x, y, disc, withdraw = map(np.concatenate, zip(*parts))
+    return TrialDataset(grid=p.grid, ids=tuple(f"S{j:04d}" for j in range(1, 2 * n + 1)),
+                        arm=np.repeat([0, 1], n), baseline=x, y=y, disc=disc, withdraw=withdraw,
+                        withdraw_type=np.where(np.isnan(withdraw), NO_TYPE, ADMIN_WITHDRAWAL))
 
 
 def _complete_endpoint_means(rng: np.random.Generator, params: GenParams, n_datasets: int):

@@ -19,8 +19,8 @@ variance (scaled inverse chi-square) and coefficients (conditional normal)
 from the standard noninformative-prior posterior.  Randomness is addressed by
 (seed, replicate, purpose, donor group), so methods agree bit-for-bit
 wherever their donor assignments agree.  An analysis makes its ``Draws``
-once and each method selects from them (``impute_matrix``), over the
-dataset's cached ``TrialDataset.columns``.
+once and each method selects from them (``impute_matrix``), by the
+dataset's cached scenario codes (``TrialDataset.columns``).
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ import numpy as np
 
 from ._streams import (IMPUTE_NS, PUR_GATE, PUR_MAR_PARAMS, PUR_NOISE,
                        PUR_POOL_PARAMS, PUR_RD_PARAMS, substream)
-from .core import ScenarioLabel, TrialColumns, TrialDataset
+from .core import ScenarioLabel, TrialDataset
 from .core import classify_scenario  # noqa: F401 - re-exported
 from .errors import ConfigError, ImputationError
 from .survival import build_sample, fit_survival, prob_disc_before_end
@@ -134,21 +134,21 @@ def posterior_draws(model: NormalImputationModel, rng: np.random.Generator, m: i
     return sigma, beta
 
 
-def _donor_rows(cols: TrialColumns, scen: ScenarioLabel, arm: int, visit: int) -> np.ndarray:
+def _donor_rows(data: TrialDataset, scen: ScenarioLabel, arm: int, visit: int) -> np.ndarray:
     """Indices usable as donors: given scenario and arm, complete on the
     conditioning visit (visit = -1 means baseline-only)."""
-    ok = (cols.scenario == scen) & (cols.arm == arm) & ~np.isnan(cols.y[:, -1])
+    ok = (data.columns.scenario == scen) & (data.arm == arm) & ~np.isnan(data.y[:, -1])
     if visit >= 0:
-        ok &= ~np.isnan(cols.y[:, visit])
+        ok &= ~np.isnan(data.y[:, visit])
     return np.flatnonzero(ok)
 
 
-def _build_design(cols: TrialColumns, rows: np.ndarray, visit: int, pooled: bool) -> np.ndarray:
-    design = [np.ones(rows.size), cols.baseline[rows]]
+def _build_design(data: TrialDataset, rows: np.ndarray, visit: int, pooled: bool) -> np.ndarray:
+    design = [np.ones(rows.size), data.baseline[rows]]
     if visit >= 0:
-        design.append(cols.y[rows, visit])
+        design.append(data.y[rows, visit])
     if pooled:
-        design.append(cols.arm[rows].astype(float))
+        design.append(data.arm[rows].astype(float))
     return np.column_stack(design)
 
 
@@ -166,8 +166,7 @@ def _predict(sigma: np.ndarray, beta: np.ndarray, design: np.ndarray, z: np.ndar
 
 
 def _gate_probabilities(dataset: TrialDataset, s52_idx: np.ndarray, fallback: set[str]) -> np.ndarray:
-    cols, duration = dataset.columns, dataset.grid.duration
-    arms = cols.arm[s52_idx]
+    arms, duration = dataset.arm[s52_idx], dataset.grid.duration
     out = np.zeros(s52_idx.size)
     for arm in np.unique(arms).tolist():
         sample = build_sample(dataset, arm)
@@ -177,33 +176,33 @@ def _gate_probabilities(dataset: TrialDataset, s52_idx: np.ndarray, fallback: se
             fallback.add(f"no observed discontinuation in arm {arm}: gate probability 0")
             continue
         in_arm = arms == arm
-        out[in_arm] = prob_disc_before_end(fit_survival(sample), cols.withdraw[s52_idx[in_arm]], duration)
+        out[in_arm] = prob_disc_before_end(fit_survival(sample), dataset.withdraw[s52_idx[in_arm]], duration)
     return out
 
 
-def _pooled_donor_values(cols: TrialColumns, targets: np.ndarray, out: np.ndarray,
+def _pooled_donor_values(data: TrialDataset, targets: np.ndarray, out: np.ndarray,
                          cfg: ImputationConfig, replicate: int,
                          z: np.ndarray, fallback: set[str]) -> None:
     """Method D: per round, refit endpoint-on-baseline using every non-withdrawn
     subject's (observed or just-imputed) endpoint in ``out``, then draw the
     withdrawn ``targets`` into it."""
     for arm in (0, 1):
-        group = targets[cols.arm[targets] == arm]
+        group = targets[data.arm[targets] == arm]
         if not group.size:
             continue
-        donors = np.flatnonzero((cols.scenario != ScenarioLabel.S52) & (cols.arm == arm))
+        donors = np.flatnonzero((data.columns.scenario != ScenarioLabel.S52) & (data.arm == arm))
         pooled = _short_pool(donors.size, -1, cfg)
         if pooled:
-            donors = np.flatnonzero(cols.scenario != ScenarioLabel.S52)
+            donors = np.flatnonzero(data.columns.scenario != ScenarioLabel.S52)
             fallback.add("endpoint donors pooled across arms")
         try:
-            model = fit_donor_model(_build_design(cols, donors, -1, pooled), out[:, donors].T,
+            model = fit_donor_model(_build_design(data, donors, -1, pooled), out[:, donors].T,
                                     min_donor_pool=cfg.min_donor_pool)
         except ImputationError as exc:
             raise ImputationError(f"no usable endpoint donors for pooled imputation: {exc}") from exc
         rng = substream(cfg.seed, IMPUTE_NS, replicate, PUR_POOL_PARAMS, _ARM_POOLED if pooled else arm)
         out[:, group] = _predict(*posterior_draws(model, rng, cfg.m),
-                                 _build_design(cols, group, -1, pooled), z[:, group])
+                                 _build_design(data, group, -1, pooled), z[:, group])
 
 
 class Draws:
@@ -217,22 +216,22 @@ class Draws:
 
     def __init__(self, dataset: TrialDataset, cfg: ImputationConfig, methods: Sequence[str],
                  replicate: int = 0) -> None:
-        cols = dataset.columns
-        m, n = cfg.m, cols.arm.size
+        scenario = dataset.columns.scenario
+        m, n = cfg.m, scenario.size
         self.z = substream(cfg.seed, IMPUTE_NS, replicate, PUR_NOISE).standard_normal((m, n))
-        s2, s4, self.s52 = (np.flatnonzero(cols.scenario == label)
+        s2, s4, self.s52 = (np.flatnonzero(scenario == label)
                             for label in (ScenarioLabel.S2, ScenarioLabel.S4_51, ScenarioLabel.S52))
         self.fallback: dict[str, set[str]] = {method: set() for method in methods}
-        self.filled = np.repeat(cols.y[None, :, -1], m, axis=0)
-        self.filled[:, s2], self.mar52 = self._value_draws(cols, s2, ScenarioLabel.S1, cfg, replicate)
-        self.filled[:, s4], self.rd52 = self._value_draws(cols, s4, ScenarioLabel.S3, cfg, replicate)
+        self.filled = np.repeat(dataset.y[None, :, -1], m, axis=0)
+        self.filled[:, s2], self.mar52 = self._value_draws(dataset, s2, ScenarioLabel.S1, cfg, replicate)
+        self.filled[:, s4], self.rd52 = self._value_draws(dataset, s4, ScenarioLabel.S3, cfg, replicate)
         self.gates = None
         if "C" in methods:
             p_hat = _gate_probabilities(dataset, self.s52, self.fallback["C"])
             uniforms = substream(cfg.seed, IMPUTE_NS, replicate, PUR_GATE).random((m, n))
             self.gates = uniforms[:, self.s52] < p_hat
 
-    def _value_draws(self, cols: TrialColumns, own: np.ndarray, donor_scen: ScenarioLabel,
+    def _value_draws(self, data: TrialDataset, own: np.ndarray, donor_scen: ScenarioLabel,
                      cfg: ImputationConfig, replicate: int) -> tuple[np.ndarray, np.ndarray]:
         """Posterior-predictive draws from ``donor_scen`` (S1 or S3) donors: (m,
         own.size) for their own S2 or S4 targets and (m, s52.size) for the
@@ -245,18 +244,18 @@ class Draws:
         s52_users = [x for x in self.fallback if x in ("C", "A" if adherers else "B")]
         targets = np.concatenate([own, self.s52]) if s52_users else own
         draws = np.empty((cfg.m, targets.size))
-        arms = cols.arm[targets]
+        arms = data.arm[targets]
         per_visit = adherers and cfg.mar_conditioning == MONOTONE_SEQUENTIAL
-        visits = cols.last_obs[targets] if per_visit else np.full(targets.size, -1)
+        visits = data.columns.last_obs[targets] if per_visit else np.full(targets.size, -1)
         fits = {}
         for arm, visit in sorted(set(zip(arms.tolist(), visits.tolist()))):
             in_group = (arms == arm) & (visits == visit)
             group = targets[in_group]
-            donors = _donor_rows(cols, donor_scen, arm, visit)
+            donors = _donor_rows(data, donor_scen, arm, visit)
             pooled = _short_pool(donors.size, visit, cfg)
             if pooled:
-                donors = np.concatenate([_donor_rows(cols, donor_scen, 0, visit),
-                                         _donor_rows(cols, donor_scen, 1, visit)])
+                donors = np.concatenate([_donor_rows(data, donor_scen, 0, visit),
+                                         _donor_rows(data, donor_scen, 1, visit)])
                 event = (f"{'adherent' if adherers else 'retrieved-dropout'} donors pooled across arms"
                          + (f" (conditioning visit {visit})" if visit >= 0 else ""))
                 for method in self.fallback if in_group[:own.size].any() else s52_users:
@@ -264,14 +263,14 @@ class Draws:
             key = (_ARM_POOLED if pooled else arm, visit)
             if key not in fits:
                 try:
-                    model = fit_donor_model(_build_design(cols, donors, visit, pooled),
-                                            cols.y[donors, -1], min_donor_pool=cfg.min_donor_pool)
+                    model = fit_donor_model(_build_design(data, donors, visit, pooled),
+                                            data.y[donors, -1], min_donor_pool=cfg.min_donor_pool)
                 except ImputationError as exc:
                     raise ImputationError(f"donor pool exhausted even after pooling arms: {exc}") from exc
                 purpose = PUR_MAR_PARAMS if adherers else PUR_RD_PARAMS
                 rng = substream(cfg.seed, IMPUTE_NS, replicate, purpose, key[0], visit + 1)
                 fits[key] = posterior_draws(model, rng, cfg.m)
-            draws[:, in_group] = _predict(*fits[key], _build_design(cols, group, visit, pooled),
+            draws[:, in_group] = _predict(*fits[key], _build_design(data, group, visit, pooled),
                                           self.z[:, group])
         return draws[:, :own.size], draws[:, own.size:]
 
@@ -299,7 +298,7 @@ def impute_matrix(dataset: TrialDataset, cfg: ImputationConfig, *, replicate: in
         out[:, s52] = np.where(draws.gates, draws.rd52, draws.mar52)
         prov[:, s52] = np.where(draws.gates, GATED_RD, GATED_ADHERER)
     else:
-        _pooled_donor_values(dataset.columns, s52, out, cfg, replicate, draws.z, fallback)
+        _pooled_donor_values(dataset, s52, out, cfg, replicate, draws.z, fallback)
     if np.isnan(out).any():
         raise ImputationError("imputation left missing endpoints behind")
     return ImputationResult(endpoints=out, provenance_codes=prov,

@@ -78,7 +78,7 @@ def analyze_dataset(dataset: TrialDataset, imputation: ImputationConfig, methods
                     level: float, replicate: int = 0) -> dict[str, dict[str, PooledEstimate]]:
     """Impute under each method from one set of draws with the ``imputation`` settings,
     estimate every round and pool with Rubin's rules: the pooled estimate per method and estimand."""
-    arms = dataset.columns.arm
+    arms = dataset.arm
     n0, n1 = np.bincount(arms, minlength=2).tolist()
     com_df = {"control": n0 - 1, "treatment": n1 - 1, "difference": n0 + n1 - 2}
     draws = Draws(dataset, imputation, methods, replicate)

@@ -6,7 +6,7 @@ administrative withdrawal censors the discontinuation time, completion
 censors it at the study end.  The estimator is the covariate-free
 product-limit (Kaplan-Meier) curve, which on the trial's discrete visit grid
 is calibrated against the latent discontinuation rate.  An arm's follow-up
-sample is a selection from the dataset's cached columns
+sample is a selection from the dataset's arrays by its cached scenario codes
 (``TrialDataset.columns``), so it classifies no subject again.
 """
 from __future__ import annotations
@@ -59,14 +59,13 @@ def build_sample(dataset: TrialDataset, arm: int) -> SurvivalSample:
     missing endpoint) are events at their week; a non-administrative
     withdrawal with no prior discontinuation is an event at the withdrawal
     week.  Administrative withdrawals censor at the withdrawal week, everyone
-    else is censored at the study end.  Rows are ``dataset.columns``' rows of
-    the arm, in subject order.
+    else is censored at the study end.  Rows are the dataset's rows of the
+    arm, in subject order.
     """
-    cols = dataset.columns
-    rows = cols.arm == arm
-    scen = cols.scenario[rows]
+    rows = dataset.arm == arm
+    scen = dataset.columns.scenario[rows]
     event = (scen == ScenarioLabel.S3) | (scen == ScenarioLabel.S4_51)
-    disc, withdraw = cols.disc[rows], cols.withdraw[rows]
+    disc, withdraw = dataset.disc[rows], dataset.withdraw[rows]
     # An event without a recorded discontinuation week is a non-administrative withdrawal.
     time = np.where(event, np.where(np.isnan(disc), withdraw, disc),
                     np.where(scen == ScenarioLabel.S52, withdraw, dataset.grid.duration))

@@ -1,4 +1,5 @@
-"""Hand-construction helpers for subject records, small datasets and their CSVs."""
+"""Hand-construction helpers for subject records, small datasets and their
+CSVs, and reference forms of the vectorised rules and kernels."""
 from __future__ import annotations
 
 import csv
@@ -12,9 +13,10 @@ import numpy as np
 from scipy.special import expit
 
 from trialmi._streams import TRUTH_NS, substream
-from trialmi.core import (ADMIN_WITHDRAWAL, DEFAULT_GRID, OTHER_WITHDRAWAL, ScenarioLabel,
-                          SubjectRecord, TrialDataset, VisitGrid, classify_scenario)
+from trialmi.core import (ADMIN_WITHDRAWAL, DEFAULT_GRID, NO_TYPE, OTHER_WITHDRAWAL, ScenarioLabel,
+                          SubjectRecord, TrialDataset, VisitGrid)
 from trialmi.datagen import TRUTH_SUBJECTS, TrueValues, draw_baseline, resolve_params
+from trialmi.errors import ValidationError
 from trialmi.survival import TIME_FLOOR, SurvivalSample
 
 _COUNTER = [0]
@@ -36,7 +38,33 @@ def make_subject(outcomes: Sequence[Optional[float]], *, arm: int = 0, baseline:
 
 
 def make_dataset(subjects: Sequence[SubjectRecord], grid: VisitGrid = DEFAULT_GRID) -> TrialDataset:
-    return TrialDataset(grid=grid, subjects=tuple(subjects))
+    """The records as a dataset's arrays: None becomes NaN, or NO_TYPE for a
+    withdrawal type."""
+    assert all(len(s.outcomes) == grid.n_visits for s in subjects)
+    # A NaN would read as a missing value or an absent week, so no record may hold one.
+    assert not any(v is not None and math.isnan(v)
+                   for s in subjects for v in (*s.outcomes, s.disc_time, s.withdraw_time))
+
+    def column(name: str) -> np.ndarray:
+        return np.array([getattr(s, name) for s in subjects], dtype=float)
+    return TrialDataset(grid=grid, ids=tuple(s.id for s in subjects),
+                        arm=np.array([s.arm for s in subjects], dtype=int), baseline=column("baseline"),
+                        y=column("outcomes").reshape(len(subjects), grid.n_visits),
+                        disc=column("disc_time"), withdraw=column("withdraw_time"),
+                        withdraw_type=np.array([NO_TYPE if s.withdraw_type is None else s.withdraw_type
+                                                for s in subjects], dtype=int))
+
+
+def count_calls(monkeypatch, owner, name: str) -> list[int]:
+    """A one-item list counting the calls of ``owner.name`` from now on,
+    through ``owner``; works for a method such as ``__init__`` too."""
+    original, calls = getattr(owner, name), [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counting)
+    return calls
 
 
 def completer(value: float, **kw) -> SubjectRecord:
@@ -152,13 +180,74 @@ def reference_truth(params, n_datasets: int, seed: int) -> TrueValues:
                       difference=mean1 - mean0, n_datasets=n_datasets)
 
 
+def reference_violations(subject: SubjectRecord, grid: VisitGrid) -> list[str]:
+    """Structural violations of one record against its grid (empty = valid),
+    checked one field at a time; the dataset check must report the same."""
+    out: list[str] = []
+    k = grid.n_visits
+    d = grid.duration
+    if subject.arm not in (0, 1):
+        out.append(f"arm must be 0 or 1, got {subject.arm!r}")
+    if not math.isfinite(subject.baseline):
+        out.append("baseline is not finite")
+    if len(subject.outcomes) != k:
+        out.append(f"expected {k} visit entries, got {len(subject.outcomes)}")
+        return out
+    for j, y in enumerate(subject.outcomes):
+        if y is not None and not math.isfinite(y):
+            out.append(f"visit {j}: outcome is not finite")
+    u, v, w_type = subject.disc_time, subject.withdraw_time, subject.withdraw_type
+    if w_type is not None and v is None:
+        out.append("withdrawal type recorded without a withdrawal week")
+    if v is not None and w_type not in (ADMIN_WITHDRAWAL, OTHER_WITHDRAWAL):
+        out.append(f"withdrawal week requires type admin/other, got {w_type!r}")
+    for name, t in (("disc_time", u), ("withdraw_time", v)):
+        if t is not None and not (0 <= t <= d and math.isfinite(t)):
+            out.append(f"{name} {t!r} outside [0, {d}]")
+    if u is not None and v is not None and u > v:
+        out.append("treatment discontinuation recorded after study withdrawal")
+    if v is not None:
+        for j, t in enumerate(grid.times):
+            if t > v and subject.outcomes[j] is not None:
+                out.append(f"visit {j} (week {t:g}) observed after withdrawal at week {v:g}")
+    return out
+
+
+def reference_classify(subject: SubjectRecord, grid: VisitGrid) -> ScenarioLabel:
+    """The scenario rule as branches on one record; raises ValidationError
+    naming the subject on a structurally inconsistent one."""
+    problems = reference_violations(subject, grid)
+    if problems:
+        raise ValidationError(f"subject {subject.id}: " + "; ".join(problems))
+    d = grid.duration
+    u, v = subject.disc_time, subject.withdraw_time
+    disc_before_end = u is not None and u < d
+    if subject.outcomes[-1] is not None:
+        return ScenarioLabel.S3 if disc_before_end else ScenarioLabel.S1
+    if disc_before_end:
+        # A discontinuation recorded at the very week of an administrative
+        # withdrawal is the withdrawal itself; the real-world one is censored.
+        if v is not None and u == v and subject.withdraw_type == ADMIN_WITHDRAWAL:
+            return ScenarioLabel.S52
+        return ScenarioLabel.S4_51
+    if v is not None and v < d:
+        if subject.withdraw_type == ADMIN_WITHDRAWAL:
+            return ScenarioLabel.S52
+        return ScenarioLabel.S4_51
+    # No discontinuation and no withdrawal that could have hidden the
+    # endpoint (a withdrawal at or after the endpoint week cannot): logistics.
+    return ScenarioLabel.S2
+
+
 def reference_extract(dataset: TrialDataset) -> dict:
-    """``TrialDataset.columns``' arrays, built one subject at a time."""
+    """The dataset's arrays and ``TrialDataset.columns``' arrays, built one
+    subject record at a time."""
     grid = dataset.grid
     k = grid.n_visits
     n = len(dataset.subjects)
     out = {"arm": np.empty(n, dtype=int), "baseline": np.empty(n), "y": np.full((n, k), np.nan),
            "disc": np.full(n, np.nan), "withdraw": np.full(n, np.nan),
+           "withdraw_type": np.full(n, NO_TYPE, dtype=int),
            "scenario": np.empty(n, dtype=int), "last_obs": np.full(n, -1, dtype=int)}
     for j, subject in enumerate(dataset.subjects):
         out["arm"][j] = subject.arm
@@ -166,11 +255,12 @@ def reference_extract(dataset: TrialDataset) -> dict:
         for idx, val in enumerate(subject.outcomes):
             if val is not None:
                 out["y"][j, idx] = val
-        out["scenario"][j] = classify_scenario(subject, grid)
+        out["scenario"][j] = reference_classify(subject, grid)
         if subject.disc_time is not None:
             out["disc"][j] = subject.disc_time
         if subject.withdraw_time is not None:
             out["withdraw"][j] = subject.withdraw_time
+            out["withdraw_type"][j] = subject.withdraw_type
         obs = np.flatnonzero(~np.isnan(out["y"][j, : k - 1]))
         if obs.size:
             out["last_obs"][j] = int(obs[-1])
@@ -184,7 +274,7 @@ def reference_build_sample(dataset: TrialDataset, arm: int) -> SurvivalSample:
     for subject in dataset.subjects:
         if subject.arm != arm:
             continue
-        label = classify_scenario(subject, dataset.grid)
+        label = reference_classify(subject, dataset.grid)
         if label in (ScenarioLabel.S3, ScenarioLabel.S4_51):
             if subject.disc_time is not None:
                 t, e = subject.disc_time, True

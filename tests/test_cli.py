@@ -16,7 +16,7 @@ from trialmi.core import ADMIN_WITHDRAWAL
 from trialmi.datagen import generate_trial
 from trialmi.imputation import ImputationConfig
 
-from .helpers import completer, make_dataset, make_subject, write_csv
+from .helpers import completer, count_calls, make_dataset, make_subject, write_csv
 
 SETTINGS = {f.name for f in dataclasses.fields(ImputationConfig)} - {"method", "seed"}
 BASE = {"m": 4, "min_donor_pool": 6}
@@ -82,14 +82,34 @@ def test_analyze_accepts_week0_administrative_withdrawal(tmp_path):
 
 
 def test_analyze_checks_each_record_once(trial_csv, tmp_path, monkeypatch):
-    original, calls = core.record_violations, [0]
-
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
-    monkeypatch.setattr(core, "record_violations", counting)
+    # One vectorised pass checks every subject, and neither the CSV reader
+    # nor the analysis builds a subject record.
+    read, datasets = cli.read_dataset_csv, []
+    monkeypatch.setattr(cli, "read_dataset_csv", lambda path: datasets.append(read(path)) or datasets[-1])
+    checks = count_calls(monkeypatch, core, "_violations")
+    records = count_calls(monkeypatch, core.SubjectRecord, "__init__")
     run(tmp_path, "once", "analyze", trial_csv, "--m-imputations", 4)
-    assert calls[0] == len(cli.read_dataset_csv(trial_csv).subjects)
+    assert (checks[0], records[0], len(datasets)) == (1, 0, 1) and "subjects" not in vars(datasets[0])
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", ["y24", "baseline", "disc_week", "withdraw_week"])
+def test_non_finite_cell_is_rejected_naming_the_subject(trial_csv, tmp_path, capsys, column, value):
+    # A NaN cell is not a missing value: empty cells are.
+    rows = data_rows(trial_csv)
+    rows[5][rows[0].index(column)] = value
+    with open(tmp_path / "bad.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    assert cli.main(["analyze", str(tmp_path / "bad.csv"), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: subject {rows[5][0]}: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_header_only_csv_is_an_input_error(trial_csv, tmp_path, capsys):
+    (tmp_path / "header.csv").write_text(trial_csv.read_text().splitlines()[0] + "\n")
+    assert cli.main(["analyze", str(tmp_path / "header.csv"), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path / 'header.csv'}: no subject rows\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("invalid", ["duplicate-only", "mixed"])

@@ -2,17 +2,19 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from trialmi.cli import read_dataset_csv
-from trialmi.core import (DEFAULT_GRID, ScenarioLabel, VisitGrid, classify_scenario,
-                          scenario_counts, validate_dataset)
+from trialmi.core import (DEFAULT_GRID, NO_TYPE, ScenarioLabel, TrialDataset, VisitGrid,
+                          classify_scenario, scenario_counts, validate_dataset)
 from trialmi.errors import ValidationError
 
-from .helpers import completer, make_dataset, make_subject, write_csv
-from .strategies import valid_records
+from .helpers import (completer, make_dataset, make_subject, reference_classify,
+                      reference_violations, write_csv)
+from .strategies import invalid_records, valid_records
 
 S = ScenarioLabel
 
@@ -110,11 +112,15 @@ class TestValidation:
         assert "withdrawal type" in report[0].message
 
     def test_wrong_visit_count(self):
+        # A record with too few visits cannot be classified; as arrays it
+        # cannot form a dataset at all.
         bad = dataclasses.replace(completer(-1.0), outcomes=(-0.2, -0.5, -1.0))
-        report = validate_dataset(make_dataset([bad]))
-        assert [v.message for v in report] == ["expected 4 visit entries, got 3"]
         with pytest.raises(ValidationError, match="visit entries"):
             classify_scenario(bad, DEFAULT_GRID)
+        nan = np.array([np.nan])
+        with pytest.raises(ValidationError, match="1 subjects on 4 visits"):
+            TrialDataset(DEFAULT_GRID, ("X",), np.array([0]), np.array([8.0]), np.array([bad.outcomes]),
+                         nan, nan, np.array([NO_TYPE]))
 
     def test_observed_after_withdrawal(self):
         bad = make_subject([-0.1, -0.2, -0.3, None], withdraw=20.0)
@@ -141,6 +147,36 @@ class TestValidation:
     def test_valid_records_produce_empty_report(self, subjects):
         assert validate_dataset(make_dataset(subjects)) == []
 
+    @given(st.lists(st.tuples(st.sampled_from("ABCDEF"), st.one_of(valid_records(), invalid_records())),
+                    max_size=8))
+    def test_vectorised_rule_matches_the_per_record_reference(self, pairs):
+        # Ids from a small set, so duplicates occur; the report is ordered by
+        # subject, then rule, then visit, with a duplicate id first.
+        records = [dataclasses.replace(r, id=i) for i, r in pairs]
+        expected, seen = [], set()
+        for r in records:
+            if r.id in seen:
+                expected.append((r.id, "duplicate subject id"))
+            seen.add(r.id)
+            expected += [(r.id, msg) for msg in reference_violations(r, DEFAULT_GRID)]
+        assert [(v.subject_id, v.message) for v in validate_dataset(make_dataset(records))] == expected
+        for r in records:
+            try:
+                label = reference_classify(r, DEFAULT_GRID)
+            except ValidationError as exc:
+                with pytest.raises(ValidationError) as got:
+                    classify_scenario(r, DEFAULT_GRID)
+                assert str(got.value) == str(exc)
+            else:
+                assert classify_scenario(r, DEFAULT_GRID) is label
+        valid = [r for r in records if not reference_violations(r, DEFAULT_GRID)]
+        assert make_dataset(valid).columns.scenario.tolist() == [reference_classify(r, DEFAULT_GRID)
+                                                                 for r in valid]
+
+    @given(invalid_records())
+    def test_invalid_records_are_invalid(self, record):
+        assert reference_violations(record, DEFAULT_GRID)
+
 
 def test_scenario_counts_partition():
     data = make_dataset([
@@ -164,13 +200,18 @@ def test_scenario_codes_and_names():
 
 class TestColumns:
     def test_built_on_first_use_then_cached_and_read_only(self):
-        data = make_dataset([completer(-1.0), make_subject([-0.3, None, None, None], withdraw=13.0, arm=1)])
-        assert "columns" not in vars(data)
+        records = [completer(-1.0), make_subject([-0.3, None, None, None], withdraw=13.0, arm=1)]
+        data = make_dataset(records)
+        assert "columns" not in vars(data) and "subjects" not in vars(data)
         cols = data.columns
         assert data.columns is cols
-        assert cols.scenario.tolist() == [S.S1, S.S52] and cols.arm.tolist() == [0, 1]
-        with pytest.raises(ValueError):
-            cols.y[0, 0] = 0.0
+        assert cols.scenario.tolist() == [S.S1, S.S52] and cols.last_obs.tolist() == [2, 0]
+        assert data.arm.tolist() == [0, 1] and "subjects" not in vars(data)
+        for array in (data.y, data.arm, data.withdraw_type, cols.scenario):
+            with pytest.raises(ValueError):
+                array[0] = 0
+        # The records read back from the arrays are the ones they were built from.
+        assert data.subjects == tuple(records) and data.subjects is data.subjects
 
     def test_invalid_dataset_is_reported_in_full_not_raised_on_construction(self, tmp_path):
         bad = make_dataset([

@@ -1,5 +1,6 @@
 """Imputation-engine tests: donor-model posterior behavior, per-method
 assignment rules, the gating laws, and stream discipline."""
+import dataclasses
 import math
 
 import numpy as np
@@ -98,10 +99,12 @@ def column(data, subject_id):
 
 
 def assert_extract_matches_reference(data):
+    # The stored arrays against the records read back from them, and the
+    # derived columns against the per-record scenario rule.
     cols, ref = data.columns, reference_extract(data)
-    assert set(vars(cols)) == set(ref)
+    assert set(ref) == {f.name for f in dataclasses.fields(data)} - {"grid", "ids"} | set(vars(cols))
     for name, expected in ref.items():
-        got = getattr(cols, name)
+        got = getattr(cols if name in vars(cols) else data, name)
         assert got.dtype == expected.dtype and got.shape == expected.shape, name
         assert np.array_equal(got, expected, equal_nan=True), name
         assert not got.flags.writeable, name
@@ -149,7 +152,7 @@ class TestWrappers:
         imputed = np.flatnonzero((res.provenance_codes != OBSERVED).any(axis=0))
         assert [data.subjects[j].id for j in imputed] == ["S2A"]
         assert res.endpoints[:, imputed[0]].shape == (40,)
-        observed = [s.endpoint for s in donors]
+        observed = [s.outcomes[-1] for s in donors]
         assert np.array_equal(np.delete(res.endpoints, imputed, axis=1), np.tile(observed, (40, 1)))
 
     def test_mar_draws_center_on_donor_regression(self):
@@ -280,7 +283,7 @@ class TestMethodLaws:
 
     def test_observed_values_never_change(self):
         data = wide_dataset()
-        endpoint = np.array([np.nan if s.endpoint is None else s.endpoint
+        endpoint = np.array([np.nan if s.outcomes[-1] is None else s.outcomes[-1]
                              for s in data.subjects])
         observed = ~np.isnan(endpoint)
         for m in "ABCD":
@@ -312,12 +315,11 @@ class TestMethodLaws:
         per_trial = {0: [], 1: []}  # (sum of p_hat - exact, subjects) per trial
         for r in range(100):
             data = generate_trial("setting2", 11, replicate=r)
-            cols = data.columns
-            s52 = np.flatnonzero(cols.scenario == ScenarioLabel.S52)
+            s52 = np.flatnonzero(data.columns.scenario == ScenarioLabel.S52)
             p_hat = imputation._gate_probabilities(data, s52, set())
             for arm, rows in per_trial.items():
-                in_arm = cols.arm[s52] == arm
-                exact = conditional_disc_rate(params, arm, cols.withdraw[s52[in_arm]])
+                in_arm = data.arm[s52] == arm
+                exact = conditional_disc_rate(params, arm, data.withdraw[s52[in_arm]])
                 rows.append(((p_hat[in_arm] - exact).sum(), in_arm.sum()))
         for arm, rows in per_trial.items():
             gap_sum, count = np.array(rows).T
@@ -358,7 +360,7 @@ class TestMethodLaws:
         j = next(i for i, s in enumerate(data.subjects) if s.id == "W")
         draws = res.endpoints[:, j]
         design = np.array([[1.0, s.baseline, s.outcomes[0]] for s in adherers])
-        beta = np.linalg.lstsq(design, np.array([s.endpoint for s in adherers]), rcond=None)[0]
+        beta = np.linalg.lstsq(design, np.array([s.outcomes[-1] for s in adherers]), rcond=None)[0]
         pred = float(beta @ np.array([1.0, 8.0, -0.2]))
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - pred) < 4 * se + 1e-6
@@ -409,7 +411,7 @@ class TestMethodLaws:
         assert classify_scenario(w0, data.grid) is ScenarioLabel.S52
         res = impute_matrix(data, cfg("C", m=50, min_donor_pool=12))
         assert np.isfinite(res.endpoints).all()
-        endpoint = np.array([np.nan if s.endpoint is None else s.endpoint for s in data.subjects])
+        endpoint = np.array([np.nan if s.outcomes[-1] is None else s.outcomes[-1] for s in data.subjects])
         observed = ~np.isnan(endpoint)
         assert np.array_equal(res.endpoints[:, observed], np.tile(endpoint[observed], (len(res.endpoints), 1)))
 
@@ -429,7 +431,7 @@ class TestMethodLaws:
         assert not build_sample(data, 1).event.any()
         res = impute_matrix(data, cfg("C", m=50))
         assert np.isfinite(res.endpoints).all()
-        endpoint = np.array([np.nan if s.endpoint is None else s.endpoint for s in data.subjects])
+        endpoint = np.array([np.nan if s.outcomes[-1] is None else s.outcomes[-1] for s in data.subjects])
         observed = ~np.isnan(endpoint)
         assert np.array_equal(res.endpoints[:, observed], np.tile(endpoint[observed], (len(res.endpoints), 1)))
         assert (res.provenance_codes[:, column(data, "W1")] == GATED_ADHERER).all()

@@ -17,7 +17,8 @@ from trialmi.estimation import estimate_matrix
 from trialmi.imputation import METHODS, ImputationConfig
 from trialmi.simharness import ESTIMANDS, SimPlan, analyze_dataset, run_plan
 
-from .helpers import completer, load_trialgen, make_dataset, make_subject, reference_pool_rubin
+from .helpers import (completer, count_calls, load_trialgen, make_dataset, make_subject,
+                      reference_pool_rubin)
 from .strategies import valid_records
 
 PARAMS = dataclasses.replace(setting_preset("setting1"), n_per_arm=60)
@@ -76,33 +77,38 @@ def trialgen_trial(tmp_path):
     return read_dataset_csv(tmp_path / "trial.csv")
 
 
-def count_classifications(monkeypatch) -> list[int]:
-    """Counts ``core.classify_scenario`` calls through every trialmi module
-    that holds the function."""
-    original, calls = core.classify_scenario, [0]
-
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "trialmi" and getattr(module, "classify_scenario", None) is original:
-            monkeypatch.setattr(module, "classify_scenario", counting)
-    return calls
+def count_passes(monkeypatch):
+    """A function giving the counts, from now on, of dataset checks
+    (``core._violations``: the one pass that checks and then classifies every
+    subject), ``classify_scenario`` calls through every trialmi module that
+    holds it, and subject records built."""
+    original = core.classify_scenario
+    holders = [module for name, module in list(sys.modules.items())
+               if name.split(".")[0] == "trialmi" and getattr(module, "classify_scenario", None) is original]
+    one_record = [count_calls(monkeypatch, module, "classify_scenario") for module in holders]
+    checks = count_calls(monkeypatch, core, "_violations")
+    records = count_calls(monkeypatch, core.SubjectRecord, "__init__")
+    return lambda: (checks[0], sum(c[0] for c in one_record), records[0])
 
 
 def test_analysis_classifies_each_subject_once(monkeypatch):
     data = small_trial()
-    calls = count_classifications(monkeypatch)
+    counts = count_passes(monkeypatch)
     analyze_dataset(data, IMP, METHODS, 0.95)
-    assert calls[0] == len(data.subjects)
+    assert counts() == (1, 0, 0) and "subjects" not in vars(data)
     assert (data.columns.scenario == ScenarioLabel.S52).any()  # method C built survival samples
 
 
 def test_replicate_classifies_each_subject_once(monkeypatch):
-    calls = count_classifications(monkeypatch)
+    generate, made = simharness.generate_trial, []
+    monkeypatch.setattr(simharness, "generate_trial",
+                        lambda *a, **kw: made.append(generate(*a, **kw)) or made[-1])
+    counts = count_passes(monkeypatch)
     result = simharness._run_replicate((PARAMS, plan(), 0))
     assert len(result) == 3 and sorted(result[2]) == list(METHODS)
-    assert calls[0] == 2 * PARAMS.n_per_arm
+    assert counts() == (1, 0, 0) and len(made) == 1 and "subjects" not in vars(made[0])
+    run_plan(plan())
+    assert counts() == (1 + 4, 0, 0) and not any("subjects" in vars(d) for d in made)
 
 
 IMP = ImputationConfig(method="A", m=12, seed=5, min_donor_pool=6)
@@ -192,10 +198,10 @@ def test_valid_dataset_gives_finite_estimates_or_a_typed_error(records, conditio
             pooled = analyze_dataset(data, imp, METHODS, 0.95)
         except TrialMIError:
             return
-    observed = [j for j, s in enumerate(records) if s.endpoint is not None]
+    observed = [j for j, s in enumerate(records) if s.outcomes[-1] is not None]
     for result in imputed:
         assert np.isfinite(result.endpoints).all()
-        assert (result.endpoints[:, observed] == [records[j].endpoint for j in observed]).all()
+        assert (result.endpoints[:, observed] == [records[j].outcomes[-1] for j in observed]).all()
     for by_estimand in pooled.values():
         for p in by_estimand.values():
             assert np.isfinite([p.point, p.within, p.between, p.total, p.ci_low, p.ci_high]).all()
