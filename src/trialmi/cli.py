@@ -7,10 +7,13 @@ simulate   run a replicated simulation plan, write metrics/scenarios/truth CSVs
 analyze    apply the imputation methods to a dataset CSV, write pooled estimates
 truth      compute the complete-data truth values only
 
-Dataset CSV schema (one row per subject): ``id, arm, baseline, y<week>...,
-disc_week, withdraw_week, withdraw_type`` where the ``y<week>`` columns declare
-the visit grid (e.g. y12,y24,y36,y48), empty cells mean missing, and
-withdraw_type is ``admin``/``other`` (required when withdraw_week is present).
+Dataset CSV (one row per subject, each column named once): ``id, arm, baseline,
+y<week>..., disc_week, withdraw_week, withdraw_type``; the ``y<week>`` columns
+declare the visit grid (e.g. y12,y24,y36,y48). An empty cell is the only missing
+value: a cell that is not a number, reads as NaN, or is not an arm (0/1) or a
+withdraw_type (admin/other) is an error naming its file line. Validation then
+reports range and consistency rules per subject, such as a finite baseline,
+weeks within the study and a withdraw_type with each withdraw_week.
 
 Config file (``--config``, JSON): sections and the commands that use them;
 flags override the file, and a key a command does not use is an error.
@@ -277,83 +280,78 @@ def _write_truth_csv(out_dir: Path, manifest_id: str, truth) -> None:
 # dataset CSV ingestion
 
 
-def _parse_grid_columns(header: list[str]) -> tuple[list[int], VisitGrid]:
-    positions, weeks = [], []
-    for i, name in enumerate(header):
-        if name.startswith("y") and name != "y":
-            try:
-                weeks.append(float(name[1:]))
-            except ValueError:
-                continue
-            positions.append(i)
-    if not positions:
-        raise ValidationError("no visit columns (y<week>) found in header")
-    if any(b <= a for a, b in zip(weeks, weeks[1:])):
-        raise ValidationError("visit columns must be ordered by strictly increasing week")
-    return positions, VisitGrid(times=tuple(weeks))
+def _float(text: str) -> Optional[float]:
+    """``float(text)``, or None where the text is not a number."""
+    try:
+        return float(text)
+    except ValueError:
+        return None
 
 
 def read_dataset_csv(path: Path) -> TrialDataset:
-    """Ingest a subject-level CSV; raises ValidationError with per-row
-    diagnostics, or when the file holds no subject row."""
+    """Parse a subject-level CSV into a dataset's arrays, an empty cell as
+    NaN (or ``NO_TYPE``). A ValidationError names the file line of each
+    fault an array cannot hold, or says the file holds no subject row; the
+    dataset's rules are ``validate_dataset``'s."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            rows = [r for r in reader if r and not r[0].startswith("#")]
+            rows = [(reader.line_num, r) for r in reader if r and not r[0].startswith("#")]
     except OSError as exc:
         raise ValidationError(f"cannot read dataset {path}: {exc}") from exc
     if not rows:
         raise ValidationError(f"{path}: empty file")
-    header = [h.strip() for h in rows[0]]
-    for col in ("id", "arm", "baseline", "disc_week", "withdraw_week", "withdraw_type"):
-        if col not in header:
-            raise ValidationError(f"{path}: missing column {col!r}")
-    y_positions, grid = _parse_grid_columns(header)
-    col = {name: header.index(name) for name in header}
-
-    problems: list[str] = []
-    parsed: list[tuple] = []  # one tuple of the dataset's fields per subject
-    type_map = {"admin": ADMIN_WITHDRAWAL, "other": OTHER_WITHDRAWAL, "": NO_TYPE}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            problems.append(f"row {lineno}: expected {len(header)} fields, got {len(row)}")
-            continue
-        cell = [c.strip() for c in row]
-
-        def fnum(pos, name, *, optional=False):  # an empty cell is missing; NaN or inf is an error
-            text = cell[pos]
-            if text == "":
-                if not optional:
-                    problems.append(f"row {lineno}: {name} is required")
-                return math.nan
-            try:
-                value = float(text)
-            except ValueError:
-                problems.append(f"row {lineno}: {name} {text!r} is not a number")
-                return math.nan
-            if not math.isfinite(value):
-                problems.append(f"subject {cell[col['id']]}: {name} {text!r} is not finite")
-            return value
-
-        arm_text = cell[col["arm"]]
-        if arm_text not in ("0", "1"):
-            problems.append(f"row {lineno}: arm must be 0 or 1, got {arm_text!r}")
-            continue
-        values = (cell[col["id"]], int(arm_text), fnum(col["baseline"], "baseline"),
-                  [fnum(pos, header[pos], optional=True) for pos in y_positions],
-                  fnum(col["disc_week"], "disc_week", optional=True),
-                  fnum(col["withdraw_week"], "withdraw_week", optional=True))
-        type_text = cell[col["withdraw_type"]].lower()
-        if type_text not in type_map:
-            problems.append(f"row {lineno}: withdraw_type must be admin/other/empty, got {type_text!r}")
-            continue
-        parsed.append((*values, type_map[type_text]))
-    if problems:
-        raise ValidationError("\n".join(problems))
-    if not parsed:
+    (line, header), body = rows[0], rows[1:]
+    header = [h.strip() for h in header]
+    required = ("id", "arm", "baseline", "disc_week", "withdraw_week", "withdraw_type")
+    faults = [f"missing column {name!r}" for name in required if name not in header]
+    faults += [f"repeated column {name!r}" for i, name in enumerate(header) if name in header[:i]]
+    weeks = {name: _float(name[1:]) for name in header if name.startswith("y")}
+    visits = [name for name, week in weeks.items() if week is not None]
+    try:
+        grid = VisitGrid(times=tuple(weeks[name] for name in visits))
+    except ValidationError as exc:
+        faults.append(str(exc) if visits else "no visit columns (y<week>) found in header")
+    if faults:
+        raise ValidationError(f"{path}: line {line}: " + "; ".join(faults))
+    if wrong := [f"line {n}: expected {len(header)} fields, got {len(r)}"
+                 for n, r in body if len(r) != len(header)]:
+        raise ValidationError("\n".join(wrong))
+    if not body:
         raise ValidationError(f"{path}: no subject rows")
-    ids, *arrays = zip(*parsed)
-    return TrialDataset(grid, ids, *map(np.array, arrays))
+    lines, cells = zip(*body)
+    columns = {name: [c.strip() for c in texts] for name, texts in zip(header, zip(*cells))}
+    problems: list[tuple[int, str]] = []  # (file line, message) per cell an array cannot hold
+
+    def numbers(name: str) -> Optional[np.ndarray]:
+        texts = columns[name]
+        try:
+            values = np.array([float(t) if t else math.nan for t in texts])
+            if np.isnan(values).sum() == texts.count(""):  # only an empty cell is missing
+                return values
+        except ValueError:
+            pass
+        for n, subject, t in zip(lines, columns["id"], texts):
+            if t and (value := _float(t)) is None:
+                problems.append((n, f"line {n}: {name} {t!r} is not a number"))
+            elif t and math.isnan(value):
+                problems.append((n, f"subject {subject}: line {n}: {name} {t!r} is NaN, not an empty cell"))
+
+    def codes(name: str, words: dict[str, int], expected: str) -> Optional[np.ndarray]:
+        try:
+            return np.array([words[t.lower()] for t in columns[name]])
+        except KeyError:
+            problems.extend((n, f"line {n}: {name} must be {expected}, got {t!r}")
+                            for n, t in zip(lines, columns[name]) if t.lower() not in words)
+
+    arm = codes("arm", {"0": 0, "1": 1}, "0 or 1")
+    baseline, y = numbers("baseline"), [numbers(name) for name in visits]
+    disc, withdraw = numbers("disc_week"), numbers("withdraw_week")
+    kind = codes("withdraw_type", {"admin": ADMIN_WITHDRAWAL, "other": OTHER_WITHDRAWAL, "": NO_TYPE},
+                 "admin/other/empty")
+    if problems:
+        raise ValidationError("\n".join(msg for _, msg in sorted(problems, key=lambda p: p[0])))
+    return TrialDataset(grid, tuple(columns["id"]), arm, baseline, np.column_stack(y), disc, withdraw, kind)
 
 
 # ---------------------------------------------------------------------------

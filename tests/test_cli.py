@@ -1,22 +1,28 @@
 """Command-line tests: the settings a run uses, rejects and records."""
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trialmi import cli, core
-from trialmi.core import ADMIN_WITHDRAWAL
+from trialmi.core import ADMIN_WITHDRAWAL, validate_dataset
 from trialmi.datagen import generate_trial
+from trialmi.errors import ValidationError
 from trialmi.imputation import ImputationConfig
 
 from .helpers import completer, count_calls, make_dataset, make_subject, write_csv
+from .strategies import invalid_records, valid_records
 
 SETTINGS = {f.name for f in dataclasses.fields(ImputationConfig)} - {"method", "seed"}
 BASE = {"m": 4, "min_donor_pool": 6}
@@ -103,6 +109,58 @@ def test_non_finite_cell_is_rejected_naming_the_subject(trial_csv, tmp_path, cap
     assert cli.main(["analyze", str(tmp_path / "bad.csv"), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(f"error: subject {rows[5][0]}: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("row, column, value, message", [
+    (2, "arm", "x", "line 5: arm must be 0 or 1, got 'x'"),
+    (2, "withdraw_type", "gone", "line 5: withdraw_type must be admin/other/empty, got 'gone'"),
+    (2, "baseline", "abc", "line 5: baseline 'abc' is not a number"),
+    (2, "y24", " NaN ", "subject {id}: line 5: y24 'NaN' is NaN"),
+    (2, None, "extra", "line 5: expected 10 fields, got 11"),
+    (0, "disc_week", "disc", "line 3: missing column 'disc_week'"),
+    (0, "y12", "baseline", "line 3: repeated column 'baseline'"),
+    (0, "y12", "y0", "line 3: visit week 0.0 must be positive and finite"),
+])
+def test_parse_error_names_its_file_line(trial_csv, tmp_path, capsys, row, column, value, message):
+    # After a comment and a blank line, the header is file line 3 and rows[2], the
+    # second subject, is line 5.
+    rows = data_rows(trial_csv)
+    if column is None:
+        rows[row].append(value)
+    else:
+        rows[row][rows[0].index(column)] = value
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    (tmp_path / "bad.csv").write_text("# comment\n\n" + text.getvalue())
+    assert cli.main(["analyze", str(tmp_path / "bad.csv"), "--out", str(tmp_path / "out")]) == 1
+    assert message.format(id=rows[2][0]) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def round_trip_csv(tmp_path_factory):
+    return tmp_path_factory.mktemp("round-trip") / "data.csv"
+
+
+@given(st.lists(st.one_of(valid_records(), invalid_records()), min_size=1, max_size=8))
+def test_csv_round_trip_keeps_the_arrays_or_names_the_unparsable_lines(round_trip_csv, records):
+    # An arm outside {0, 1} or a NaN baseline cannot be written as a cell the
+    # reader accepts; every other dataset reads back bit for bit, with the
+    # same violations reported.
+    data = make_dataset(records)
+    write_csv(data, round_trip_csv)
+    unparsable = {j + 2 for j, r in enumerate(records) if r.arm not in (0, 1) or math.isnan(r.baseline)}
+    if unparsable:
+        with pytest.raises(ValidationError) as error:
+            cli.read_dataset_csv(round_trip_csv)
+        assert {int(n) for n in re.findall(r"line (\d+)", str(error.value))} == unparsable
+        return
+    back = cli.read_dataset_csv(round_trip_csv)
+    assert (back.grid, back.ids) == (data.grid, data.ids)
+    for name in ("arm", "baseline", "y", "disc", "withdraw", "withdraw_type"):
+        got, want = getattr(back, name), getattr(data, name)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
+    assert validate_dataset(back) == validate_dataset(data)
 
 
 def test_header_only_csv_is_an_input_error(trial_csv, tmp_path, capsys):
