@@ -29,6 +29,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -116,7 +117,7 @@ def _load_config(path: Optional[Path], command: str) -> dict:
         return {}
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         doc = json.loads(text)
@@ -164,7 +165,6 @@ def _resolve_gen_params(config: dict, preset_flag: Optional[str]) -> tuple[GenPa
                  for key, value in config.get("gen", {}).items()}
     if overrides:
         params = dataclasses.replace(params, **overrides)
-    params.validate()
     return params, preset
 
 
@@ -289,16 +289,21 @@ def _float(text: str) -> Optional[float]:
 
 
 def read_dataset_csv(path: Path) -> TrialDataset:
-    """Parse a subject-level CSV into a dataset's arrays, an empty cell as
-    NaN (or ``NO_TYPE``). A ValidationError names the file line of each
-    fault an array cannot hold, or says the file holds no subject row; the
-    dataset's rules are ``validate_dataset``'s."""
+    """Parse a subject-level UTF-8 CSV into a dataset's arrays, an empty
+    cell as NaN (or ``NO_TYPE``). A ValidationError names the file line of
+    each fault an array cannot hold, or says the file holds no subject row;
+    the dataset's rules are ``validate_dataset``'s."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            rows = [(reader.line_num, r) for r in reader if r and not r[0].startswith("#")]
+        raw = Path(path).read_bytes()
+        reader = csv.reader(io.StringIO(raw.decode("utf-8"), newline=""))
+        rows = [(reader.line_num, r) for r in reader if r and not r[0].startswith("#")]
     except OSError as exc:
         raise ValidationError(f"cannot read dataset {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:  # named by its line, counted as the csv reader counts
+        raise ValidationError(f"{path}: line {len((raw[:exc.start] + b'x').splitlines())}: "
+                              f"not UTF-8 text: {exc}") from exc
+    except csv.Error as exc:
+        raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from exc
     if not rows:
         raise ValidationError(f"{path}: empty file")
     (line, header), body = rows[0], rows[1:]

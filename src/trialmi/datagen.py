@@ -48,7 +48,8 @@ class GenParams:
     baseline-interaction slopes; kappa the decay rate per week.  alpha0/alpha1
     drive the response-dependent part of per-visit treatment discontinuation,
     c_control/c_experimental the additive per-visit parts.  withdrawal_hazard
-    is the constant administrative-withdrawal rate per week.
+    is the constant administrative-withdrawal rate per week.  Construction
+    checks the values and raises ConfigError for an invalid one.
     """
 
     n_per_arm: int = 200
@@ -87,7 +88,7 @@ class GenParams:
     def c_visit(self, arm: int) -> tuple[float, ...]:
         return self.c_experimental if arm else self.c_control
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_per_arm < 1:
             raise ConfigError("n_per_arm must be >= 1")
         if self.baseline_beta_a <= 0 or self.baseline_beta_b <= 0:
@@ -134,9 +135,7 @@ def setting_preset(name: str) -> GenParams:
 
 
 def resolve_params(params: Union[GenParams, str]) -> GenParams:
-    out = setting_preset(params) if isinstance(params, str) else params
-    out.validate()
-    return out
+    return setting_preset(params) if isinstance(params, str) else params
 
 
 @dataclass(frozen=True)
@@ -151,8 +150,6 @@ class TrueValues:
 
 def draw_baseline(rng: np.random.Generator, params: GenParams, size=None):
     """Baseline outcome level from the location-scaled Beta distribution."""
-    if params.baseline_beta_a <= 0 or params.baseline_beta_b <= 0:
-        raise ConfigError("baseline Beta parameters must be positive")
     b = rng.beta(params.baseline_beta_a, params.baseline_beta_b, size=size)
     return params.baseline_loc + params.baseline_scale * b
 

@@ -16,11 +16,13 @@ treat that last group:
 
 All imputations are proper: each round redraws the donor-model residual
 variance (scaled inverse chi-square) and coefficients (conditional normal)
-from the standard noninformative-prior posterior.  Randomness is addressed by
-(seed, replicate, purpose, donor group), so methods agree bit-for-bit
-wherever their donor assignments agree.  An analysis makes its ``Draws``
-once and each method selects from them (``impute_matrix``), by the
-dataset's cached scenario codes (``TrialDataset.columns``).
+from the standard noninformative-prior posterior.  One routine,
+``Draws._value_draws``, fits, pools and draws every donor model, D's per-round
+refit included.  Randomness is addressed by (seed, replicate, purpose, donor
+group), so methods agree bit-for-bit wherever their donor assignments agree.
+An analysis makes its ``Draws`` once and each method only selects from them
+(``impute_matrix``), by the dataset's cached scenario codes
+(``TrialDataset.columns``).
 """
 from __future__ import annotations
 
@@ -50,6 +52,9 @@ OBSERVED, MAR_ADHERER, RETRIEVED_DROPOUT, POOLED, GATED_ADHERER, GATED_RD = rang
 _S52_CODE = {"A": MAR_ADHERER, "B": RETRIEVED_DROPOUT, "C": GATED_ADHERER, "D": POOLED}
 
 _ARM_POOLED = 2  # stream scope code when donor arms are pooled
+#: Per donor-fit purpose: its donors' name in pooling events, and the methods it imputes S5.2 for.
+_DONOR_KIND = {PUR_MAR_PARAMS: "adherent", PUR_RD_PARAMS: "retrieved-dropout", PUR_POOL_PARAMS: "endpoint"}
+_S52_READERS = {PUR_MAR_PARAMS: "AC", PUR_RD_PARAMS: "BC", PUR_POOL_PARAMS: "D"}
 
 
 @dataclass(frozen=True)
@@ -134,15 +139,6 @@ def posterior_draws(model: NormalImputationModel, rng: np.random.Generator, m: i
     return sigma, beta
 
 
-def _donor_rows(data: TrialDataset, scen: ScenarioLabel, arm: int, visit: int) -> np.ndarray:
-    """Indices usable as donors: given scenario and arm, complete on the
-    conditioning visit (visit = -1 means baseline-only)."""
-    ok = (data.columns.scenario == scen) & (data.arm == arm) & ~np.isnan(data.y[:, -1])
-    if visit >= 0:
-        ok &= ~np.isnan(data.y[:, visit])
-    return np.flatnonzero(ok)
-
-
 def _build_design(data: TrialDataset, rows: np.ndarray, visit: int, pooled: bool) -> np.ndarray:
     design = [np.ones(rows.size), data.baseline[rows]]
     if visit >= 0:
@@ -150,12 +146,6 @@ def _build_design(data: TrialDataset, rows: np.ndarray, visit: int, pooled: bool
     if pooled:
         design.append(data.arm[rows].astype(float))
     return np.column_stack(design)
-
-
-def _short_pool(n_donors: int, visit: int, cfg: ImputationConfig) -> bool:
-    """Below the threshold, or no more donors than design columns (intercept,
-    baseline, conditioning visit), which leaves the fit no residual df."""
-    return n_donors < cfg.min_donor_pool or n_donors <= 2 + (visit >= 0)
 
 
 def _predict(sigma: np.ndarray, beta: np.ndarray, design: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -180,39 +170,16 @@ def _gate_probabilities(dataset: TrialDataset, s52_idx: np.ndarray, fallback: se
     return out
 
 
-def _pooled_donor_values(data: TrialDataset, targets: np.ndarray, out: np.ndarray,
-                         cfg: ImputationConfig, replicate: int,
-                         z: np.ndarray, fallback: set[str]) -> None:
-    """Method D: per round, refit endpoint-on-baseline using every non-withdrawn
-    subject's (observed or just-imputed) endpoint in ``out``, then draw the
-    withdrawn ``targets`` into it."""
-    for arm in (0, 1):
-        group = targets[data.arm[targets] == arm]
-        if not group.size:
-            continue
-        donors = np.flatnonzero((data.columns.scenario != ScenarioLabel.S52) & (data.arm == arm))
-        pooled = _short_pool(donors.size, -1, cfg)
-        if pooled:
-            donors = np.flatnonzero(data.columns.scenario != ScenarioLabel.S52)
-            fallback.add("endpoint donors pooled across arms")
-        try:
-            model = fit_donor_model(_build_design(data, donors, -1, pooled), out[:, donors].T,
-                                    min_donor_pool=cfg.min_donor_pool)
-        except ImputationError as exc:
-            raise ImputationError(f"no usable endpoint donors for pooled imputation: {exc}") from exc
-        rng = substream(cfg.seed, IMPUTE_NS, replicate, PUR_POOL_PARAMS, _ARM_POOLED if pooled else arm)
-        out[:, group] = _predict(*posterior_draws(model, rng, cfg.m),
-                                 _build_design(data, group, -1, pooled), z[:, group])
-
-
 class Draws:
     """One analysis' draws, made once for the requested ``methods`` where one
     of them reads them (``cfg.method`` is not read). ``filled`` (m, n) holds
     the observed endpoints and the S2 and S4 draws. The withdrawn (``s52``)
     have adherer draws ``mar52`` if A or C is requested, retrieved-dropout
-    draws ``rd52`` if B or C is (each else empty), and C's ``gates`` (True:
-    retrieved-dropout draw) if C is; ``fallback`` holds each method's events.
-    Draws are keyed by stream, so each method selects what it would draw alone."""
+    draws ``rd52`` if B or C is, C's ``gates`` (True: retrieved-dropout draw)
+    if C is, and D's ``pool52`` if D is, from a per-round refit on the other
+    subjects' ``filled`` endpoints; each is else empty (``gates`` None).
+    ``fallback`` holds each method's events. Draws are keyed by stream, so
+    each method selects what it would draw alone."""
 
     def __init__(self, dataset: TrialDataset, cfg: ImputationConfig, methods: Sequence[str],
                  replicate: int = 0) -> None:
@@ -222,53 +189,69 @@ class Draws:
         s2, s4, self.s52 = (np.flatnonzero(scenario == label)
                             for label in (ScenarioLabel.S2, ScenarioLabel.S4_51, ScenarioLabel.S52))
         self.fallback: dict[str, set[str]] = {method: set() for method in methods}
-        self.filled = np.repeat(dataset.y[None, :, -1], m, axis=0)
-        self.filled[:, s2], self.mar52 = self._value_draws(dataset, s2, ScenarioLabel.S1, cfg, replicate)
-        self.filled[:, s4], self.rd52 = self._value_draws(dataset, s4, ScenarioLabel.S3, cfg, replicate)
+        endpoint = dataset.y[:, -1]
+        # A pooled fit stacks its donors in their set's order, which sets the
+        # fit's rounding: completers arm by arm for A-C, subject order for D.
+        by_arm = np.argsort(dataset.arm, kind="stable")
+        adherers, retrieved = (by_arm[(scenario[by_arm] == label) & ~np.isnan(endpoint[by_arm])]
+                               for label in (ScenarioLabel.S1, ScenarioLabel.S3))
+        self.filled = np.repeat(endpoint[None], m, axis=0)
+        self.filled[:, s2], self.mar52 = self._value_draws(dataset, s2, adherers, endpoint,
+                                                           PUR_MAR_PARAMS, cfg, replicate)
+        self.filled[:, s4], self.rd52 = self._value_draws(dataset, s4, retrieved, endpoint,
+                                                          PUR_RD_PARAMS, cfg, replicate)
         self.gates = None
         if "C" in methods:
             p_hat = _gate_probabilities(dataset, self.s52, self.fallback["C"])
             uniforms = substream(cfg.seed, IMPUTE_NS, replicate, PUR_GATE).random((m, n))
             self.gates = uniforms[:, self.s52] < p_hat
+        # Last, so that a failing C gate is reported before a failing D fit.
+        others = np.flatnonzero(scenario != ScenarioLabel.S52)
+        _, self.pool52 = self._value_draws(dataset, np.empty(0, dtype=int), others, self.filled.T,
+                                           PUR_POOL_PARAMS, cfg, replicate)
 
-    def _value_draws(self, data: TrialDataset, own: np.ndarray, donor_scen: ScenarioLabel,
-                     cfg: ImputationConfig, replicate: int) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior-predictive draws from ``donor_scen`` (S1 or S3) donors: (m,
-        own.size) for their own S2 or S4 targets and (m, s52.size) for the
-        withdrawn, empty unless a requested method imputes those from them.
-        Targets are grouped by (arm, conditioning visit). Each (scope, visit)
-        donor model is fit and drawn once; a short donor pool borrows the
-        other arm, with an arm covariate, and that pooled fit serves both
+    def _value_draws(self, data: TrialDataset, own: np.ndarray, donors: np.ndarray,
+                     endpoints: np.ndarray, purpose: int, cfg: ImputationConfig,
+                     replicate: int) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior-predictive draws from the ``donors`` fitted to their
+        ``endpoints`` rows ((n,), or (n, m) for one fit per round): (m,
+        own.size) for the donor set's own S2 or S4 targets and (m, s52.size)
+        for the withdrawn, empty unless a requested method imputes those from
+        it. Targets are grouped by (arm, conditioning visit). Each (scope,
+        visit) donor model is fit and drawn once; a short donor pool borrows
+        the other arm, with an arm covariate, and that pooled fit serves both
         arms. A method gets the pooling events of the groups it reads."""
-        adherers = donor_scen is ScenarioLabel.S1
-        s52_users = [x for x in self.fallback if x in ("C", "A" if adherers else "B")]
+        s52_users = [x for x in self.fallback if x in _S52_READERS[purpose]]
         targets = np.concatenate([own, self.s52]) if s52_users else own
         draws = np.empty((cfg.m, targets.size))
         arms = data.arm[targets]
-        per_visit = adherers and cfg.mar_conditioning == MONOTONE_SEQUENTIAL
+        per_visit = purpose == PUR_MAR_PARAMS and cfg.mar_conditioning == MONOTONE_SEQUENTIAL
         visits = data.columns.last_obs[targets] if per_visit else np.full(targets.size, -1)
         fits = {}
         for arm, visit in sorted(set(zip(arms.tolist(), visits.tolist()))):
             in_group = (arms == arm) & (visits == visit)
             group = targets[in_group]
-            donors = _donor_rows(data, donor_scen, arm, visit)
-            pooled = _short_pool(donors.size, visit, cfg)
+            usable = donors[~np.isnan(data.y[donors, visit])] if visit >= 0 else donors
+            rows = usable[data.arm[usable] == arm]
+            # Short: below the threshold, or no more donors than design columns
+            # (intercept, baseline, conditioning visit), which leaves no residual df.
+            pooled = rows.size < cfg.min_donor_pool or rows.size <= 2 + (visit >= 0)
             if pooled:
-                donors = np.concatenate([_donor_rows(data, donor_scen, 0, visit),
-                                         _donor_rows(data, donor_scen, 1, visit)])
-                event = (f"{'adherent' if adherers else 'retrieved-dropout'} donors pooled across arms"
+                rows = usable
+                event = (f"{_DONOR_KIND[purpose]} donors pooled across arms"
                          + (f" (conditioning visit {visit})" if visit >= 0 else ""))
                 for method in self.fallback if in_group[:own.size].any() else s52_users:
                     self.fallback[method].add(event)
             key = (_ARM_POOLED if pooled else arm, visit)
             if key not in fits:
                 try:
-                    model = fit_donor_model(_build_design(data, donors, visit, pooled),
-                                            data.y[donors, -1], min_donor_pool=cfg.min_donor_pool)
+                    model = fit_donor_model(_build_design(data, rows, visit, pooled), endpoints[rows],
+                                            min_donor_pool=cfg.min_donor_pool)
                 except ImputationError as exc:
                     raise ImputationError(f"donor pool exhausted even after pooling arms: {exc}") from exc
-                purpose = PUR_MAR_PARAMS if adherers else PUR_RD_PARAMS
-                rng = substream(cfg.seed, IMPUTE_NS, replicate, purpose, key[0], visit + 1)
+                # D's stream keys carry no visit.
+                rng = substream(cfg.seed, IMPUTE_NS, replicate, purpose,
+                                *(key[:1] if purpose == PUR_POOL_PARAMS else (key[0], visit + 1)))
                 fits[key] = posterior_draws(model, rng, cfg.m)
             draws[:, in_group] = _predict(*fits[key], _build_design(data, group, visit, pooled),
                                           self.z[:, group])
@@ -283,23 +266,18 @@ def impute_matrix(dataset: TrialDataset, cfg: ImputationConfig, *, replicate: in
     if draws is None:
         draws = Draws(dataset, cfg, (cfg.method,), replicate)
     method, s52 = cfg.method, draws.s52
-    out, fallback = draws.filled.copy(), set(draws.fallback[method])
+    out = draws.filled.copy()
     # Provenance by scenario code, S1 to S5.2.
     codes = np.array([OBSERVED, MAR_ADHERER, OBSERVED, RETRIEVED_DROPOUT, _S52_CODE[method]], dtype=np.int8)
     prov = np.repeat(codes[dataset.columns.scenario][None], cfg.m, axis=0)
     # Withdrawn (S5.2) subjects take adherer draws under A, retrieved-dropout
-    # draws under B and either one, by their gate, under C. Under D they are
-    # drawn last, from a refit on everyone else's completed endpoints.
-    if method == "A":
-        out[:, s52] = draws.mar52
-    elif method == "B":
-        out[:, s52] = draws.rd52
-    elif method == "C":
+    # draws under B, either one, by their gate, under C and the refit's under D.
+    if method == "C":
         out[:, s52] = np.where(draws.gates, draws.rd52, draws.mar52)
         prov[:, s52] = np.where(draws.gates, GATED_RD, GATED_ADHERER)
     else:
-        _pooled_donor_values(dataset, s52, out, cfg, replicate, draws.z, fallback)
+        out[:, s52] = {"A": draws.mar52, "B": draws.rd52, "D": draws.pool52}[method]
     if np.isnan(out).any():
         raise ImputationError("imputation left missing endpoints behind")
     return ImputationResult(endpoints=out, provenance_codes=prov,
-                            fallback_events=tuple(sorted(fallback)))
+                            fallback_events=tuple(sorted(draws.fallback[method])))

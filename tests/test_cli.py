@@ -120,6 +120,10 @@ def test_non_finite_cell_is_rejected_naming_the_subject(trial_csv, tmp_path, cap
     (0, "disc_week", "disc", "line 3: missing column 'disc_week'"),
     (0, "y12", "baseline", "line 3: repeated column 'baseline'"),
     (0, "y12", "y0", "line 3: visit week 0.0 must be positive and finite"),
+    # A lone surrogate is written as the byte it escapes, here 0xE9, which is not UTF-8.
+    pytest.param(2, "baseline", "7.5\udce9", "line 5: not UTF-8 text", id="not-utf8"),
+    pytest.param(2, "id", "x" * 200_000, "line 5: field larger than field limit (131072)",
+                 id="field-over-limit"),
 ])
 def test_parse_error_names_its_file_line(trial_csv, tmp_path, capsys, row, column, value, message):
     # After a comment and a blank line, the header is file line 3 and rows[2], the
@@ -131,7 +135,7 @@ def test_parse_error_names_its_file_line(trial_csv, tmp_path, capsys, row, colum
         rows[row][rows[0].index(column)] = value
     text = io.StringIO()
     csv.writer(text, lineterminator="\n").writerows(rows)
-    (tmp_path / "bad.csv").write_text("# comment\n\n" + text.getvalue())
+    (tmp_path / "bad.csv").write_bytes(("# comment\n\n" + text.getvalue()).encode("utf-8", "surrogateescape"))
     assert cli.main(["analyze", str(tmp_path / "bad.csv"), "--out", str(tmp_path / "out")]) == 1
     assert message.format(id=rows[2][0]) in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -215,6 +219,15 @@ def rejects(tmp_path, capsys, config, *argv):
     assert cli.main([str(a) for a in argv] + ["--config", str(tmp_path / "bad.json"),
                                                "--out", str(tmp_path / "bad")]) == 1
     return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze", "truth"])
+def test_config_that_is_not_utf8_is_an_input_error(trial_csv, tmp_path, capsys, command):
+    (tmp_path / "bad.json").write_bytes(b'{"plan": {"seed": "\xe9"}}')
+    argv = [command, str(trial_csv)] if command == "analyze" else [command]
+    assert cli.main(argv + ["--config", str(tmp_path / "bad.json"), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read config {tmp_path / 'bad.json'}: ")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["analyze", "truth"])

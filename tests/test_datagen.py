@@ -71,11 +71,11 @@ class TestPresets:
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ConfigError):
-            GenParams(kappa=0.0).validate()
+            GenParams(kappa=0.0)
         with pytest.raises(ConfigError):
-            GenParams(c_control=(0.2, 0.2)).validate()
+            GenParams(c_control=(0.2, 0.2))
         with pytest.raises(ConfigError):
-            GenParams(c_control=(1.0, 0.2, 0.2, 0.2)).validate()
+            GenParams(c_control=(1.0, 0.2, 0.2, 0.2))
 
 
 class TestBaseline:

@@ -189,6 +189,10 @@ class TestWrappers:
         data = make_dataset(s1 + [trt_s4])
         with pytest.raises(ImputationError, match="pooling arms"):
             impute_matrix(data, cfg("B", m=5, min_donor_pool=4))
+        # Method D's endpoint donors, the three subjects not withdrawn, fail alike.
+        withdrawn = make_subject([-0.4, None, None, None], withdraw=20.0, arm=1)
+        with pytest.raises(ImputationError, match="pooling arms"):
+            impute_matrix(make_dataset(s1[:3] + [withdrawn]), cfg("D", m=5, min_donor_pool=4))
 
     @pytest.mark.parametrize("conditioning, n_adherers", [("baseline-only", 2), ("monotone-sequential", 3)])
     def test_pool_no_larger_than_its_design_is_pooled(self, conditioning, n_adherers):

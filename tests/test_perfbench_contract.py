@@ -12,7 +12,9 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 
@@ -50,6 +52,12 @@ def test_other_names_the_benchmark_reads():
     assert {"iterations", "separation_fallback"} <= {f.name for f in dataclasses.fields(SurvivalModel)}
     subject = core.SubjectRecord(id="P1", arm=0, baseline=8.0, outcomes=(0.1, None))
     assert subject.outcomes == (0.1, None) and subject.missing == (False, True)
+    # The tracer names each impute_matrix span by the method of its second
+    # argument, passed by position or as ``cfg``.
+    cfg = list(inspect.signature(imputation.impute_matrix).parameters.values())[1]
+    assert (cfg.name, cfg.kind) == ("cfg", inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    assert get_type_hints(imputation.impute_matrix)["cfg"] is imputation.ImputationConfig
+    assert "method" in {f.name for f in dataclasses.fields(imputation.ImputationConfig)}
 
 
 def load_checks():

@@ -77,6 +77,22 @@ def trialgen_trial(tmp_path):
     return read_dataset_csv(tmp_path / "trial.csv")
 
 
+def short_arm_trial():
+    """Arm 1 has two adherent completers, two retrieved dropouts and five
+    subjects not withdrawn, so at IMP's min_donor_pool=6 the adherent,
+    retrieved-dropout and endpoint donors of its targets all pool with arm 0's."""
+    sizes = ((0, 8), (1, 2))
+    subjects = [completer(-1.0 + 0.05 * j, arm=arm, baseline=7.0 + 0.3 * j)
+                for arm, k in sizes for j in range(k)]
+    subjects += [completer(-0.3 - 0.1 * j, arm=arm, disc=12.0 * (1 + j % 3), baseline=7.2 + 0.25 * j)
+                 for arm, k in sizes for j in range(k)]
+    subjects += [make_subject([-0.4, -0.6, None, None], arm=arm, baseline=8.1) for arm in (0, 1)]
+    subjects += [make_subject([-0.2, None, None, None], disc=24.0)]
+    subjects += [make_subject([-0.5 + 0.1 * j, -0.7, None, None], arm=arm, withdraw=30.0, baseline=7.5 + j)
+                 for arm in (0, 1) for j in range(2)]
+    return make_dataset(subjects)
+
+
 def count_passes(monkeypatch):
     """A function giving the counts, from now on, of dataset checks
     (``core._violations``: the one pass that checks and then classifies every
@@ -120,10 +136,11 @@ CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-@pytest.mark.parametrize("source", ["setting1", "small-setting2", "trialgen"])
+@pytest.mark.parametrize("source", ["setting1", "small-setting2", "trialgen", "short-arm"])
 def test_shared_work_matches_separate_calls(case, source, tmp_path, monkeypatch):
     data = {"setting1": lambda: generate_trial("setting1", 5, replicate=2),
-            "small-setting2": small_trial, "trialgen": lambda: trialgen_trial(tmp_path)}[source]()
+            "small-setting2": small_trial, "trialgen": lambda: trialgen_trial(tmp_path),
+            "short-arm": short_arm_trial}[source]()
     calls = []
     impute = simharness.impute_matrix
 
