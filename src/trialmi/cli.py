@@ -9,11 +9,14 @@ truth      compute the complete-data truth values only
 
 Dataset CSV (one row per subject, each column named once): ``id, arm, baseline,
 y<week>..., disc_week, withdraw_week, withdraw_type``; the ``y<week>`` columns
-declare the visit grid (e.g. y12,y24,y36,y48). An empty cell is the only missing
-value: a cell that is not a number, reads as NaN, or is not an arm (0/1) or a
-withdraw_type (admin/other) is an error naming its file line. Validation then
-reports range and consistency rules per subject, such as a finite baseline,
-weeks within the study and a withdraw_type with each withdraw_week.
+declare the visit grid (e.g. y12,y24,y36,y48). Blank lines are skipped. A line
+that starts with ``#`` is a comment only before the header: after it, every line
+is a subject row, read or rejected, so an id may start with ``#``. An empty cell
+is the only missing value: a cell that is not a number, reads as NaN, or is not
+an arm (0/1) or a withdraw_type (admin/other) is an error naming its file line.
+Validation then reports range and consistency rules per subject, such as a
+finite baseline, weeks within the study and a withdraw_type with each
+withdraw_week.
 
 Config file (``--config``, JSON): sections and the commands that use them;
 flags override the file, and a key a command does not use is an error.
@@ -296,7 +299,7 @@ def read_dataset_csv(path: Path) -> TrialDataset:
     try:
         raw = Path(path).read_bytes()
         reader = csv.reader(io.StringIO(raw.decode("utf-8"), newline=""))
-        rows = [(reader.line_num, r) for r in reader if r and not r[0].startswith("#")]
+        rows = [(reader.line_num, r) for r in reader if r]
     except OSError as exc:
         raise ValidationError(f"cannot read dataset {path}: {exc}") from exc
     except UnicodeDecodeError as exc:  # named by its line, counted as the csv reader counts
@@ -304,9 +307,11 @@ def read_dataset_csv(path: Path) -> TrialDataset:
                               f"not UTF-8 text: {exc}") from exc
     except csv.Error as exc:
         raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from exc
-    if not rows:
+    # Comments end at the header: every later row is a subject row, whatever its first cell.
+    start = next((i for i, (_, r) in enumerate(rows) if not r[0].startswith("#")), len(rows))
+    if start == len(rows):
         raise ValidationError(f"{path}: empty file")
-    (line, header), body = rows[0], rows[1:]
+    (line, header), body = rows[start], rows[start + 1:]
     header = [h.strip() for h in header]
     required = ("id", "arm", "baseline", "disc_week", "withdraw_week", "withdraw_type")
     faults = [f"missing column {name!r}" for name in required if name not in header]

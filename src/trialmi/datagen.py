@@ -13,8 +13,12 @@ One discontinuation kernel, ``_first_disc_visit``, serves trials and truth.
 ``generate_trial`` draws each arm as arrays (baselines, subject effects,
 visit noise, then per-visit discontinuation uniforms), masks withdrawals and
 endpoint missingness in those arrays, and keeps them as the dataset.  The
-truth oracle forms only complete-data endpoint means, from the fewest draws
-each arm needs.
+truth oracle forms only complete-data endpoint means. It draws per subject
+only what has no closed-form law for its dataset average: the Beta baselines
+and, in a response-dependent arm with a shifted effect, the subject effects,
+visit noise and uniforms that ``_first_disc_visit`` reads. Every other part is
+drawn once per dataset with the law of its average: a normal for the mean
+noise, and a multinomial count of subjects by first discontinuation visit.
 """
 from __future__ import annotations
 
@@ -163,7 +167,8 @@ def _first_disc_visit(u: np.ndarray, level: np.ndarray, eps: np.ndarray, decay: 
     c_k``, where y = level * decay[k-1] + eps[k-1] is the previous adherent
     change (0 at k = 0). A sum past 1 is a certain stop, since u < 1. With
     alpha1 = 0 the probability is one scalar per visit. ``level`` has one
-    value per subject; ``u`` and ``eps`` lead with the visit axis.
+    value per subject; ``u`` and ``eps`` lead with the visit axis. The
+    endpoint noise eps[K-1] is never read, so ``eps`` may stop before it.
     """
     c = params.c_visit(arm)
     first = np.full(level.shape, len(decay))
@@ -238,14 +243,21 @@ def generate_trial(params: Union[GenParams, str], seed: int, *, replicate: int =
 def _complete_endpoint_means(rng: np.random.Generator, params: GenParams, n_datasets: int):
     """Complete-data endpoint means of b = ``n_datasets`` datasets, one array per arm.
 
-    Used only by the truth oracle; no withdrawal or missingness. Each arm,
-    control first, draws only what its mean needs (the truth's stream
-    layout): baselines (b, n); then, when discontinuation does not move the
-    mean (dtheta = 0) or does not depend on the response (alpha1 = 0), one
-    normal (b, n) for subject effect and endpoint noise together and, if
-    dtheta != 0, one uniform (b, n) against the cumulative per-visit law;
-    otherwise subject effects (b, n), visit noise (K, b, n) and uniforms
-    (K, b, n) for ``_first_disc_visit``.
+    Used only by the truth oracle; no withdrawal or missingness. A draw that
+    enters the mean only through its per-dataset average is replaced by one
+    draw of that average with the same law. Each arm, control first, draws
+    (the truth's stream layout):
+
+    - baselines (b, n), per subject;
+    - when discontinuation does not move the mean (dtheta = 0) or does not
+      depend on the response (alpha1 = 0): one normal (b) for the mean of
+      subject effect and endpoint noise, N(0, (d_K^2 sigma_s2 + sigma_e2) / n),
+      and, if dtheta != 0, one multinomial (b, K + 1) count of subjects by
+      first-discontinuation visit T = 0..K-1, never (K) last;
+    - otherwise subject effects (b, n), noise at visits 0..K-2 (K - 1, b, n)
+      and uniforms (K, b, n) for ``_first_disc_visit``, which reads no
+      endpoint noise, then one normal (b) for the endpoint noise's mean,
+      N(0, sigma_e2 / n).
     """
     times = np.asarray(params.grid.times)
     n, visits = params.n_per_arm, len(times)
@@ -261,20 +273,22 @@ def _complete_endpoint_means(rng: np.random.Generator, params: GenParams, n_data
         dtheta = params.theta(arm) - params.theta0
         if dtheta == 0 or params.alpha1 == 0:
             sd = math.sqrt(decay[-1] ** 2 * params.sigma_s2 + params.sigma_e2)
-            mean += sd * rng.standard_normal((n_datasets, n)).mean(axis=1)
+            mean += sd / math.sqrt(n) * rng.standard_normal(n_datasets)
             if dtheta != 0:
-                # T <= k exactly when u < P(T <= k); frac_at[T] sums frac_at's falls from T on.
-                u = rng.random((n_datasets, n))
+                # P(T = k) = P(on before k) * stop_k, with P(T = K) = P(on after K - 1) last.
                 stop = _expit(params.alpha0) + np.asarray(params.c_visit(arm))
-                for fall, p_by in zip(frac_at[:-1] - frac_at[1:], 1.0 - np.cumprod(1.0 - stop)):
-                    mean -= dtheta * decay[-1] * fall * (u < p_by).mean(axis=1)
+                on = np.cumprod(1.0 - stop)
+                cells = np.append(stop * np.append(1.0, on[:-1]), on[-1])
+                counts = rng.multinomial(n, cells, size=n_datasets)
+                mean -= dtheta * decay[-1] * (counts @ frac_at) / n
         else:
             s = rng.normal(0.0, math.sqrt(params.sigma_s2), size=(n_datasets, n))
-            eps = rng.normal(0.0, math.sqrt(params.sigma_e2), size=(visits, n_datasets, n))
+            eps = rng.normal(0.0, math.sqrt(params.sigma_e2), size=(visits - 1, n_datasets, n))
             u = rng.random((visits, n_datasets, n))
             level = params.theta(arm) + slope * (x - params.baseline_mean) + s
             frac = frac_at[_first_disc_visit(u, level, eps, decay, arm, params)]
-            mean += (s * decay[-1] + eps[-1] - dtheta * decay[-1] * frac).mean(axis=1)
+            mean += (s * decay[-1] - dtheta * decay[-1] * frac).mean(axis=1)
+            mean += math.sqrt(params.sigma_e2 / n) * rng.standard_normal(n_datasets)
         means[arm] = mean
     return means[0], means[1]
 

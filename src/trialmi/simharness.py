@@ -8,7 +8,6 @@ given master seed regardless of worker count or execution order.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
@@ -137,6 +136,9 @@ def run_plan(plan: SimPlan) -> MetricsTable:
 
     payloads = [(params, plan, rep) for rep in range(plan.n_replicates)]
     if plan.workers > 1:
+        # Imported on first use, as estimation's stdtrit is: loading
+        # concurrent.futures.process takes 10-15 ms, which every start would pay.
+        from concurrent.futures import ProcessPoolExecutor
         chunk = max(1, plan.n_replicates // (plan.workers * 8))
         with ProcessPoolExecutor(max_workers=plan.workers) as pool:
             results = list(pool.map(_run_replicate, payloads, chunksize=chunk))

@@ -126,10 +126,9 @@ def reference_first_disc_visit(u, level, eps, decay, arm, params):
 
 def _reference_endpoint_means(rng, params, n_datasets):
     """``datagen._complete_endpoint_means`` on the same draws and the same
-    arithmetic for each dataset's mean, finding each subject's first
-    discontinuation visit T apart from it: by ``reference_first_disc_visit``,
-    or, from one uniform, by searching the per-visit cumulative law built
-    visit by visit."""
+    arithmetic for each dataset's mean, finding its parts apart from it: each
+    subject's first discontinuation visit T by ``reference_first_disc_visit``,
+    and the multinomial's cell probabilities P(T = k) visit by visit."""
     times = np.asarray(params.grid.times)
     n, visits = params.n_per_arm, len(times)
     decay = 1.0 - np.exp(-params.kappa * times)
@@ -143,24 +142,23 @@ def _reference_endpoint_means(rng, params, n_datasets):
         mean = (params.theta(arm) + slope * (x.mean(axis=1) - params.baseline_mean)) * decay[-1]
         if dtheta == 0 or params.alpha1 == 0:
             sd = math.sqrt(decay[-1] ** 2 * params.sigma_s2 + params.sigma_e2)
-            mean += sd * rng.standard_normal((n_datasets, n)).mean(axis=1)
+            mean += sd / math.sqrt(n) * rng.standard_normal(n_datasets)
             if dtheta != 0:
-                u = rng.random((n_datasets, n))
-                on, p_by = 1.0, []
+                on, cells = 1.0, []
                 for c in params.c_visit(arm):
-                    on *= 1.0 - (expit(params.alpha0) + c)
-                    p_by.append(1.0 - on)
-                first = np.searchsorted(p_by, u, side="right")
-                for k in range(visits):
-                    fall = frac_at[k] - frac_at[k + 1]
-                    mean -= dtheta * decay[-1] * fall * (first <= k).mean(axis=1)
+                    stop = expit(params.alpha0) + c
+                    cells.append(on * stop)
+                    on *= 1.0 - stop
+                counts = rng.multinomial(n, cells + [on], size=n_datasets)
+                mean -= dtheta * decay[-1] * (counts @ frac_at) / n
         else:
             s = rng.normal(0.0, math.sqrt(params.sigma_s2), size=(n_datasets, n))
-            eps = rng.normal(0.0, math.sqrt(params.sigma_e2), size=(visits, n_datasets, n))
+            eps = rng.normal(0.0, math.sqrt(params.sigma_e2), size=(visits - 1, n_datasets, n))
             u = rng.random((visits, n_datasets, n))
             level = params.theta(arm) + slope * (x - params.baseline_mean) + s
             first = reference_first_disc_visit(u, level, np.moveaxis(eps, 0, -1), decay, arm, params)
-            mean += (s * decay[-1] + eps[-1] - dtheta * decay[-1] * frac_at[first]).mean(axis=1)
+            mean += (s * decay[-1] - dtheta * decay[-1] * frac_at[first]).mean(axis=1)
+            mean += math.sqrt(params.sigma_e2 / n) * rng.standard_normal(n_datasets)
         means[arm] = mean
     return means[0], means[1]
 

@@ -174,6 +174,18 @@ def test_header_only_csv_is_an_input_error(trial_csv, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_hash_is_a_comment_only_before_the_header(trial_csv, tmp_path):
+    rows = data_rows(trial_csv)
+    rows[1][0] = "#" + rows[1][0]
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    (tmp_path / "hash.csv").write_text("# comment\n" + text.getvalue())
+    back, data = cli.read_dataset_csv(tmp_path / "hash.csv"), cli.read_dataset_csv(trial_csv)
+    assert len(data.ids) == 400
+    assert back.ids == ("#" + data.ids[0],) + data.ids[1:]
+    assert back.y.tobytes() == data.y.tobytes()
+
+
 @pytest.mark.parametrize("invalid", ["duplicate-only", "mixed"])
 def test_analyze_reports_every_violation(tmp_path, capsys, invalid):
     subjects = [completer(-1.0, subject_id="X1"), completer(-0.5, subject_id="X1")]
@@ -268,10 +280,13 @@ def test_simulate_accepts_every_config_key(tmp_path):
 
 
 def test_cli_import_leaves_out_scipy_stats(tmp_path):
-    # No scipy module at all: loading scipy.special alone costs about a third of a second.
+    # No scipy module at all: loading scipy.special alone costs about a third
+    # of a second. Nor the process pool, which only --workers > 1 uses: it
+    # costs 10-15 ms.
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    loaded = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    loaded = ("print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+              " or m == 'concurrent.futures.process'))")
     for argv in (["--help"], ["truth", "--n-datasets", "20", "--out", str(tmp_path)]):
         code = f"import sys, trialmi.cli; trialmi.cli.main({argv!r}); {loaded}"
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,

@@ -372,6 +372,22 @@ class TestTruth:
         # 1,001 datasets cross a batch boundary (500 per batch at n = 200).
         assert_within_4_mcse(TRUTH_CASES[name], 1001, seed=7)
 
+    @pytest.mark.parametrize("name", sorted(TRUTH_CASES))
+    def test_dataset_means_have_the_exact_spread(self, name):
+        # The 4-MCSE check above sees only the mean of the dataset means; a
+        # kernel that drew them with the right mean but a wrong spread would
+        # pass it. Each dataset mean averages n iid subjects, so its variance
+        # is the subject variance over n; a sample variance of B near-normal
+        # values has relative SD sqrt(2 / (B - 1)).
+        params = TRUTH_CASES[name]
+        n, batch, b = params.n_per_arm, TRUTH_SUBJECTS // params.n_per_arm, 4000
+        draws = rng(11)
+        means = [datagen._complete_endpoint_means(draws, params, batch) for _ in range(b // batch)]
+        exact = exact_truth(params)
+        for arm, key in enumerate(("control", "treatment")):
+            ratio = np.concatenate([m[arm] for m in means]).var(ddof=1) / (exact[key][1] / n)
+            assert abs(ratio - 1.0) <= 4 * math.sqrt(2 / (b - 1)), (key, ratio)
+
     @pytest.mark.parametrize("params, n_datasets, seed", [
         pytest.param("setting1", 1, 7, id="setting1-1"),
         pytest.param("setting1", 501, 8, id="setting1-501"),

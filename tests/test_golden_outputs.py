@@ -28,9 +28,9 @@ RUNS = {
                 ("estimates.csv",)),
 }
 GOLDEN = {
-    "simulate-setting1": "7e60e5301e5b96e3011dd0967fcb3351fa3e3deddb252d4a6e3ebe828bc1b195",
-    "simulate-setting2": "14b64f647d6a6b9ae62488879a3b0bb345ab7058635819206ca14ff73e244bed",
-    "truth": "b9582262df8f0446142adeed4f74ff6808c41f39b7e71a90098e10f4c73021db",
+    "simulate-setting1": "f6791f81967aa95afb3c470b729a386be3ea184d1015b4b6aa6c3d06a7a58c87",
+    "simulate-setting2": "4ce365d7f597be26fd35708ed01a10f7a06d4d91b39a1deefea39af8ce35c706",
+    "truth": "1b83c1282585b9b30b7c619fe6b02f6b3c644d103e0ea12afde4978dc5057e6d",
     "analyze": "9c7c7a47bbfc1375e0bfb6ebc44d63b5fdd6fbb6252f52213bd0ebbe48f05137",
 }
 
