@@ -9,7 +9,9 @@ fixed window while the control mean is unchanged.  Administrative study
 withdrawal is an independent constant-hazard event that masks every visit
 after it.
 
-One discontinuation kernel, ``_first_disc_visit``, serves trials and truth.
+One discontinuation kernel, ``_first_disc_visit``, and one baseline sampler,
+``draw_baseline``, serve trials and truth; where 2a and 2b are whole and a + b <= 4
+it draws Beta(a, b) as an exact gamma sum, stream E1, Z, E2, E3 for (1.5, 2).
 ``generate_trial`` draws each arm as arrays (baselines, subject effects,
 visit noise, then per-visit discontinuation uniforms), masks withdrawals and
 endpoint missingness in those arrays, and keeps them as the dataset.  The
@@ -152,10 +154,28 @@ class TrueValues:
     n_datasets: int
 
 
-def draw_baseline(rng: np.random.Generator, params: GenParams, size=None):
-    """Baseline outcome level from the location-scaled Beta distribution."""
-    b = rng.beta(params.baseline_beta_a, params.baseline_beta_b, size=size)
-    return params.baseline_loc + params.baseline_scale * b
+def draw_baseline(rng: np.random.Generator, params: GenParams, size):
+    """Baseline outcome levels (an array of ``size``) from the location-scaled
+    Beta(a, b) law: ``rng.beta`` unless 2a and 2b are whole and a + b <= 4.
+    Then it is exactly G / (G + H), G ~ Gamma(a) and H ~ Gamma(b) each the sum
+    of int(shape) standard exponentials and, for a half-integer, Z^2/2 of a
+    standard normal Z, each term drawn in turn (for (1.5, 2): E1, Z, E2, E3) in
+    blocks, the stream of one draw, so that two arrays of ``size`` are alive."""
+    a, b = params.baseline_beta_a, params.baseline_beta_b
+    if (2 * a) % 1 or (2 * b) % 1 or a + b > 4:
+        return params.baseline_loc + params.baseline_scale * rng.beta(a, b, size=size)
+    x, h = np.zeros(size), np.zeros(size)
+    t = np.empty(8192)  # one block of a term: it bounds the scratch memory, not the stream
+    for flat, shape in ((x.reshape(-1), a), (h.reshape(-1), b)):
+        for normal in [False] * int(shape) + [True] * (shape % 1 != 0):
+            draw = rng.standard_normal if normal else rng.standard_exponential
+            for lo in range(0, flat.size, t.size):
+                term = draw(out=t[:flat.size - lo])
+                flat[lo:lo + term.size] += np.square(term, out=term) * 0.5 if normal else term
+    x /= np.add(h, x, out=h)
+    x *= params.baseline_scale
+    x += params.baseline_loc
+    return x
 
 
 def _first_disc_visit(u: np.ndarray, level: np.ndarray, eps: np.ndarray, decay: np.ndarray,

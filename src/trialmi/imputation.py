@@ -19,7 +19,9 @@ variance (scaled inverse chi-square) and coefficients (conditional normal)
 from the standard noninformative-prior posterior.  One routine,
 ``Draws._value_draws``, fits, pools and draws every donor model, D's per-round
 refit included.  Randomness is addressed by (seed, replicate, purpose, donor
-group), so methods agree bit-for-bit wherever their donor assignments agree.
+group), so methods agree bit-for-bit wherever their donor assignments agree,
+and only what is read is drawn: the shared noise over the t subjects with a
+missing endpoint (m, t) and C's gate uniforms over the withdrawn (m, s52).
 An analysis makes its ``Draws`` once and each method only selects from them
 (``impute_matrix``), by the dataset's cached scenario codes
 (``TrialDataset.columns``).
@@ -83,7 +85,7 @@ class NormalImputationModel:
     """Least-squares donor fit with the pieces needed for proper-MI draws."""
 
     beta: np.ndarray                # (p,), or (m, p) for a per-round fit
-    cov_factor: np.ndarray          # L with L @ L.T = (W'W)^-1
+    cov_factor: np.ndarray          # L with L @ L.T = (W'W)^+
     sigma2: float | np.ndarray      # floored residual-variance estimate, (m,) per round
     df: int
 
@@ -99,8 +101,10 @@ class ImputationResult:
 
 def fit_donor_model(design: np.ndarray, endpoints: np.ndarray, *,
                     min_donor_pool: int = 2) -> NormalImputationModel:
-    """Least-squares fit of endpoints on the design matrix, with the posterior
-    factors for proper multiple-imputation draws.
+    """Least-squares fit of endpoints on the design matrix W, with the posterior
+    factors for proper multiple-imputation draws, from W'W = V diag(lambda) V':
+    eigenvalues above a relative threshold set the rank, and L = V lambda^-1/2
+    (zero on the dropped ones) gives L L' = (W'W)^+ and beta = L L' W'y.
 
     ``endpoints`` is one vector (n,) or one column per round (n, m); the
     latter gives per-round coefficients (m, p) and residual variances (m,)
@@ -113,16 +117,17 @@ def fit_donor_model(design: np.ndarray, endpoints: np.ndarray, *,
     n = w.shape[0]
     if n < min_donor_pool:
         raise ImputationError(f"donor pool of {n} below threshold {min_donor_pool}")
-    beta, _, rank, _ = np.linalg.lstsq(w, yv, rcond=None)
-    df = n - int(rank)
+    vals, vecs = np.linalg.eigh(w.T @ w)
+    keep = vals > vals[-1] * max(w.shape) * np.finfo(float).eps
+    df = n - int(keep.sum())
     if df < 1:
         raise ImputationError(f"donor pool of {n} leaves no residual degrees of freedom")
-    resid = yv - w @ beta
-    sigma2 = np.maximum(np.vecdot(resid, resid, axis=0) / df, VARIANCE_FLOOR)
-    cov = np.linalg.pinv(w.T @ w)
-    vals, vecs = np.linalg.eigh((cov + cov.T) / 2.0)
-    factor = vecs * np.sqrt(np.clip(vals, 0.0, None))
-    return NormalImputationModel(beta=beta.T, cov_factor=factor, sigma2=sigma2, df=df)
+    factor = vecs * np.divide(1.0, np.sqrt(np.abs(vals)), out=np.zeros(vals.size), where=keep)
+    beta = (factor @ (factor.T @ (w.T @ yv))).T
+    resid = beta @ w.T  # negated residuals, (m, n) per round, built in one array
+    resid -= yv.T
+    sigma2 = np.maximum(np.vecdot(resid, resid) / df, VARIANCE_FLOOR)
+    return NormalImputationModel(beta=beta, cov_factor=factor, sigma2=sigma2, df=df)
 
 
 def posterior_draws(model: NormalImputationModel, rng: np.random.Generator, m: int):
@@ -172,24 +177,26 @@ def _gate_probabilities(dataset: TrialDataset, s52_idx: np.ndarray, fallback: se
 
 class Draws:
     """One analysis' draws, made once for the requested ``methods`` where one
-    of them reads them (``cfg.method`` is not read). ``filled`` (m, n) holds
-    the observed endpoints and the S2 and S4 draws. The withdrawn (``s52``)
-    have adherer draws ``mar52`` if A or C is requested, retrieved-dropout
-    draws ``rd52`` if B or C is, C's ``gates`` (True: retrieved-dropout draw)
-    if C is, and D's ``pool52`` if D is, from a per-round refit on the other
-    subjects' ``filled`` endpoints; each is else empty (``gates`` None).
+    of them reads them (``cfg.method`` is not read). Noise column ``z[:, k]``
+    is subject ``targets[k]``'s: S2, S4 and S5.2 in subject order. ``filled``
+    (m, n) holds the observed endpoints and the S2 and S4 draws. The withdrawn
+    (``s52``) have adherer draws ``mar52`` if A or C is requested,
+    retrieved-dropout draws ``rd52`` if B or C is, C's ``gates`` (m, s52;
+    True: retrieved-dropout draw) if C is, and D's ``pool52`` if D is, from a
+    per-round refit on the other subjects' ``filled`` endpoints; each is else
+    empty (``gates`` None).
     ``fallback`` holds each method's events. Draws are keyed by stream, so
     each method selects what it would draw alone."""
 
     def __init__(self, dataset: TrialDataset, cfg: ImputationConfig, methods: Sequence[str],
                  replicate: int = 0) -> None:
         scenario = dataset.columns.scenario
-        m, n = cfg.m, scenario.size
-        self.z = substream(cfg.seed, IMPUTE_NS, replicate, PUR_NOISE).standard_normal((m, n))
+        m, endpoint = cfg.m, dataset.y[:, -1]
+        self.targets = np.flatnonzero(np.isnan(endpoint))
+        self.z = substream(cfg.seed, IMPUTE_NS, replicate, PUR_NOISE).standard_normal((m, self.targets.size))
         s2, s4, self.s52 = (np.flatnonzero(scenario == label)
                             for label in (ScenarioLabel.S2, ScenarioLabel.S4_51, ScenarioLabel.S52))
         self.fallback: dict[str, set[str]] = {method: set() for method in methods}
-        endpoint = dataset.y[:, -1]
         # A pooled fit stacks its donors in their set's order, which sets the
         # fit's rounding: completers arm by arm for A-C, subject order for D.
         by_arm = np.argsort(dataset.arm, kind="stable")
@@ -203,8 +210,8 @@ class Draws:
         self.gates = None
         if "C" in methods:
             p_hat = _gate_probabilities(dataset, self.s52, self.fallback["C"])
-            uniforms = substream(cfg.seed, IMPUTE_NS, replicate, PUR_GATE).random((m, n))
-            self.gates = uniforms[:, self.s52] < p_hat
+            uniforms = substream(cfg.seed, IMPUTE_NS, replicate, PUR_GATE).random((m, self.s52.size))
+            self.gates = uniforms < p_hat
         # Last, so that a failing C gate is reported before a failing D fit.
         others = np.flatnonzero(scenario != ScenarioLabel.S52)
         _, self.pool52 = self._value_draws(dataset, np.empty(0, dtype=int), others, self.filled.T,
@@ -254,7 +261,7 @@ class Draws:
                                 *(key[:1] if purpose == PUR_POOL_PARAMS else (key[0], visit + 1)))
                 fits[key] = posterior_draws(model, rng, cfg.m)
             draws[:, in_group] = _predict(*fits[key], _build_design(data, group, visit, pooled),
-                                          self.z[:, group])
+                                          self.z[:, np.searchsorted(self.targets, group)])
         return draws[:, :own.size], draws[:, own.size:]
 
 

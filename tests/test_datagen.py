@@ -2,11 +2,13 @@
 reproducibility properties."""
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from trialmi import datagen
 from trialmi._streams import substream
@@ -97,6 +99,48 @@ class TestBaseline:
         a, b = 1.5, 2.0
         sd = 3.0 * math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1)))
         assert abs(x.mean() - BASELINE_MEAN) < 3 * sd / 1000.0
+
+    @pytest.mark.parametrize("a, b", [(1.5, 2.0), (0.5, 3.5), (2.0, 1.0)])
+    def test_gamma_sum_has_the_beta_law(self, a, b):
+        # Shapes inside the gamma-sum rule, the presets' first; (0.5, 3.5)
+        # starts G with its normal term, (2, 1) has none.
+        n = 200_000
+        params = GenParams(baseline_beta_a=a, baseline_beta_b=b)
+        u = (draw_baseline(rng(4), params, size=(500, 400)) - 7.0) / 3.0
+        law = stats.beta(a, b)
+        assert stats.kstest(u.ravel(), law.cdf).pvalue > 1e-3
+        mean, var, kurt = law.stats(moments="mvk")
+        assert abs(u.mean() - mean) < 4 * math.sqrt(var / n)
+        # The sample variance's SE, from the fourth central moment (kurt + 3) var^2.
+        assert abs(u.var(ddof=1) - var) < 4 * var * math.sqrt((kurt + 2) / n)
+
+    @pytest.mark.parametrize("a, b", [(1.3, 2.0), (2.5, 2.0)])
+    def test_shapes_outside_the_rule_draw_numpy_beta(self, a, b):
+        # 2a is not whole, or a + b > 4.
+        params = GenParams(baseline_beta_a=a, baseline_beta_b=b)
+        expected = 7.0 + 3.0 * rng(5).beta(a, b, size=1000)
+        assert np.array_equal(draw_baseline(rng(5), params, size=1000), expected)
+
+    def test_peak_memory_stays_near_two_outputs(self):
+        # The output and one more array of its size, plus a small block; the
+        # first call keeps numpy's one-time allocations out of the peak.
+        draw_baseline(rng(6), GenParams(), size=(500, 200))
+        tracemalloc.start()
+        try:
+            x = draw_baseline(rng(6), GenParams(), size=(500, 200))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * x.nbytes
+
+    def test_blocks_draw_the_stream_of_one_whole_draw(self):
+        # E1, Z, E2, E3 for (1.5, 2), each over the whole array in turn.
+        g = rng(7)
+        e1, z, e2, e3 = (g.standard_exponential(30_000), g.standard_normal(30_000),
+                         g.standard_exponential(30_000), g.standard_exponential(30_000))
+        gamma_a = e1 + z * z * 0.5
+        expected = 3.0 * (gamma_a / ((e2 + e3) + gamma_a)) + 7.0
+        assert np.array_equal(draw_baseline(rng(7), GenParams(), size=(100, 300)), expected.reshape(100, 300))
 
 
 class TestAdherentTrajectory:

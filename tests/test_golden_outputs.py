@@ -28,10 +28,10 @@ RUNS = {
                 ("estimates.csv",)),
 }
 GOLDEN = {
-    "simulate-setting1": "f6791f81967aa95afb3c470b729a386be3ea184d1015b4b6aa6c3d06a7a58c87",
-    "simulate-setting2": "4ce365d7f597be26fd35708ed01a10f7a06d4d91b39a1deefea39af8ce35c706",
-    "truth": "1b83c1282585b9b30b7c619fe6b02f6b3c644d103e0ea12afde4978dc5057e6d",
-    "analyze": "9c7c7a47bbfc1375e0bfb6ebc44d63b5fdd6fbb6252f52213bd0ebbe48f05137",
+    "simulate-setting1": "7b7e66851428c163de3a4fed334cedd08922023ba7eea7ec9999281661167651",
+    "simulate-setting2": "b58367c446ed9517dccc97da029096cca0c1384d9e3ab8a0bd9a9c37ff0fc84a",
+    "truth": "c7454df84d5a877d04e50b8c273d11094dfab759af3918b8d244c6a9f07bd074",
+    "analyze": "17ad840b96efbda96786cb78ce9dd48684254c201d9668d4c39679b648743c1b",
 }
 
 

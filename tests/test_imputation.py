@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from trialmi._streams import IMPUTE_NS, PUR_NOISE, PUR_POOL_PARAMS, substream
+from trialmi._streams import IMPUTE_NS, PUR_GATE, PUR_NOISE, PUR_POOL_PARAMS, substream
 from trialmi.cli import read_dataset_csv
 from trialmi.core import ADMIN_WITHDRAWAL, ScenarioLabel, VisitGrid, classify_scenario, validate_dataset
 from trialmi.datagen import generate_trial, setting_preset
@@ -21,6 +21,9 @@ from trialmi.survival import build_sample, fit_survival, prob_disc_before_end
 from .analytic_oracle import conditional_disc_rate
 from .helpers import (completer, load_trialgen, make_dataset, make_subject, reference_extract,
                       reference_predict)
+
+
+S = ScenarioLabel
 
 
 def cfg(method="A", **kw):
@@ -92,6 +95,47 @@ class TestDonorModel:
             assert np.array_equal(model.cov_factor, single.cov_factor)
         sigma, beta = posterior_draws(model, substream(3, 0), 5)
         assert sigma.shape == (5,) and beta.shape == (5, 3)
+
+    @pytest.mark.parametrize("arm", [0, 1])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_collinear_pooled_design_matches_lstsq(self, arm, seed):
+        # A pooled design whose donors all come from one arm: its arm column
+        # is zero, or repeats the intercept. Over these seeds the computed
+        # null eigenvalue of W'W falls on both sides of 0.
+        g = np.random.default_rng(seed)
+        n = 25
+        design = np.column_stack([np.ones(n), g.normal(8, 1, n), g.normal(-1, 1, n), np.full(n, arm)])
+        endpoints = design[:, :3] @ [0.5, -0.2, 0.8] + g.normal(0, 0.3, (3, n))
+        for y in (endpoints[0], endpoints.T):
+            beta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+            model = fit_donor_model(design, y)
+            assert rank == 3 and model.df == n - 3
+            assert np.allclose(model.beta, beta.T, rtol=0, atol=1e-10)
+            # L L' is the pseudo-inverse of W'W, so no draw leaves the row space of W.
+            cov = model.cov_factor @ model.cov_factor.T
+            assert np.allclose(cov, np.linalg.pinv(design.T @ design), rtol=0, atol=1e-10)
+            _, draws = posterior_draws(model, substream(4, 0), 3)
+            null = np.linalg.svd(design)[2][-1]
+            assert np.allclose(draws @ null, 0.0, rtol=0, atol=1e-10)
+
+    def test_near_collinear_pool_gives_finite_draws_or_a_typed_error(self):
+        # Baselines spread over 1e-9 leave W'W numerically of rank one short;
+        # its computed small eigenvalue is rounding, of either sign.
+        for seed in range(4):
+            g = np.random.default_rng(seed)
+            design = np.column_stack([np.ones(30), 8.0 + 1e-9 * g.random(30)])
+            model = fit_donor_model(design, g.normal(-1, 0.5, 30))
+            sigma, beta = posterior_draws(model, substream(5, 0), 200)
+            assert model.df == 29 and np.isfinite(sigma).all() and np.isfinite(beta).all()
+        params = dataclasses.replace(setting_preset("setting1"), baseline_scale=1e-9)
+        data = generate_trial(params, seed=3)
+        assert np.ptp(data.baseline) < 1e-9
+        for method in "ABCD":
+            try:
+                res = impute_matrix(data, cfg(method, m=20, min_donor_pool=12))
+            except ImputationError:
+                continue
+            assert np.isfinite(res.endpoints).all(), method
 
 
 def column(data, subject_id):
@@ -384,7 +428,11 @@ class TestMethodLaws:
         labels = np.array([classify_scenario(s, data.grid) for s in data.subjects])
         arms = np.array([s.arm for s in data.subjects])
         x = np.array([s.baseline for s in data.subjects])
-        z = substream(c.seed, IMPUTE_NS, 2, PUR_NOISE).standard_normal((c.m, len(arms)))
+        # The noise has one column per subject with a missing endpoint (S2, S4
+        # and S5.2), in subject order; no other subject reads it.
+        missing = np.flatnonzero(np.isin(labels, [S.S2, S.S4_51, S.S52]))
+        z = np.full((c.m, len(arms)), np.nan)
+        z[:, missing] = substream(c.seed, IMPUTE_NS, 2, PUR_NOISE).standard_normal((c.m, missing.size))
         for arm in (0, 1):
             donors = np.flatnonzero((labels != ScenarioLabel.S52) & (arms == arm))
             targets = np.flatnonzero((labels == ScenarioLabel.S52) & (arms == arm))
@@ -477,3 +525,21 @@ class TestDeterminism:
         r1 = impute_matrix(data, cfg("A", min_donor_pool=12), replicate=0)
         r2 = impute_matrix(data, cfg("A", min_donor_pool=12), replicate=1)
         assert not np.array_equal(r1.endpoints, r2.endpoints)
+
+    @pytest.mark.parametrize("setting", ["setting1", "setting2"])
+    def test_noise_and_gate_uniforms_cover_only_their_readers(self, setting):
+        # The noise has one column per S2, S4 and S5.2 subject, in subject
+        # order, and C's gate uniforms one per S5.2 subject.
+        data = generate_trial(setting, seed=6)
+        c = cfg("C", m=30, min_donor_pool=12)
+        draws = imputation.Draws(data, c, "ABCD", replicate=3)
+        labels = np.array([classify_scenario(s, data.grid) for s in data.subjects])
+        targets = np.flatnonzero(np.isin(labels, [S.S2, S.S4_51, S.S52]))
+        s52 = np.flatnonzero(labels == ScenarioLabel.S52)
+        assert 0 < s52.size < targets.size < labels.size
+        assert np.array_equal(draws.targets, targets)
+        expected = substream(c.seed, IMPUTE_NS, 3, PUR_NOISE).standard_normal((c.m, targets.size))
+        assert np.array_equal(draws.z, expected)
+        p_hat = imputation._gate_probabilities(data, s52, set())
+        uniforms = substream(c.seed, IMPUTE_NS, 3, PUR_GATE).random((c.m, s52.size))
+        assert np.array_equal(draws.gates, uniforms < p_hat)
