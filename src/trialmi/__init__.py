@@ -9,7 +9,7 @@ from .datagen import (GenParams, TrueValues, generate_trial, generate_truth,
                       setting_preset)
 from .estimation import PooledEstimate, estimate_matrix, pool_rubin
 from .imputation import METHODS, ImputationConfig, ImputationResult, impute_matrix
-from .simharness import MetricsTable, SimPlan, run_plan, summarize_scenarios
+from .simharness import MetricsTable, SimPlan, run_plan
 from .survival import (SurvivalModel, SurvivalSample, build_sample,
                        conditional_survival, fit_survival, prob_disc_before_end)
 
@@ -20,7 +20,7 @@ __all__ = [
     "GenParams", "TrueValues", "generate_trial", "generate_truth", "setting_preset",
     "PooledEstimate", "estimate_matrix", "pool_rubin",
     "METHODS", "ImputationConfig", "ImputationResult", "impute_matrix",
-    "MetricsTable", "SimPlan", "run_plan", "summarize_scenarios",
+    "MetricsTable", "SimPlan", "run_plan",
     "SurvivalModel", "SurvivalSample", "build_sample", "conditional_survival",
     "fit_survival", "prob_disc_before_end",
 ]

@@ -433,7 +433,7 @@ def cmd_analyze(args) -> int:
             print(f"error: subject {v.subject_id}: {v.message}", file=sys.stderr)
         return 1
     pooled = analyze_dataset(dataset, dataclasses.replace(imputation, seed=seed), methods, level)
-    rows = [[method, estimand, _fmt(p.point), _fmt(p.total ** 0.5), _fmt(p.ci_low), _fmt(p.ci_high)]
+    rows = [[method, estimand, _fmt(p.point), _fmt(math.sqrt(p.total)), _fmt(p.ci_low), _fmt(p.ci_high)]
             for method, by_estimand in pooled.items() for estimand, p in by_estimand.items()]
 
     identity = {"command": "analyze",

@@ -125,6 +125,8 @@ class TrialDataset:
         n, arrays = len(self.ids), (self.arm, self.baseline, self.disc, self.withdraw, self.withdraw_type)
         if self.y.shape != (n, self.grid.n_visits) or any(a.shape != (n,) for a in arrays):
             raise ValidationError(f"arrays disagree with {n} subjects on {self.grid.n_visits} visits")
+        if bad := [k for k in ("arm", "withdraw_type") if getattr(self, k).dtype.kind not in "iu"]:
+            raise ValidationError(f"{bad[0]} must hold integer codes, got dtype {getattr(self, bad[0]).dtype}")
         for a in (self.y, *arrays):
             a.flags.writeable = False
 

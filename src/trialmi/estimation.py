@@ -1,9 +1,9 @@
 """Complete-data estimation and Rubin's-rule pooling.
 
 The analysis model is the unadjusted per-arm endpoint mean; the treatment
-effect is their difference.  Pooled intervals use the total variance
-W + (1 + 1/m) B with Barnard-Rubin small-sample degrees of freedom when a
-complete-data df is supplied (classic Rubin df otherwise).
+effect is their difference (the three ``ESTIMANDS``).  Pooled intervals use
+the total variance W + (1 + 1/m) B with Barnard-Rubin small-sample degrees of
+freedom when a complete-data df is supplied (classic Rubin df otherwise).
 """
 from __future__ import annotations
 
@@ -14,6 +14,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import EstimationError
+
+ESTIMANDS = ("control", "treatment", "difference")
 
 
 @dataclass(frozen=True)
@@ -29,20 +31,21 @@ class PooledEstimate:
     m: int
 
 
-def estimate_matrix(arms: np.ndarray, endpoints: np.ndarray) -> dict[str, np.ndarray]:
-    """Per-round arm means, difference and their sampling variances, as (m,) arrays."""
+def estimate_matrix(arms: np.ndarray, endpoints: np.ndarray) -> dict[str, tuple[np.ndarray, int]]:
+    """Per estimand, in ``ESTIMANDS`` order: the per-round (point, sampling
+    variance) pairs as the (m, 2) array ``pool_rubin`` takes, and the
+    complete-data df."""
     arms = np.asarray(arms)
     e = np.asarray(endpoints, dtype=float)
-    out: dict[str, np.ndarray] = {}
-    for arm, name in ((0, "control"), (1, "treatment")):
+    out: dict[str, tuple[np.ndarray, int]] = {}
+    for arm, name in enumerate(ESTIMANDS[:2]):
         cols = e[:, arms == arm]
         n = cols.shape[1]
         if n < 2:
             raise EstimationError(f"need at least 2 subjects in the {name} arm for a variance")
-        out[f"mean_{name}"] = cols.mean(axis=1)
-        out[f"var_{name}"] = cols.var(axis=1, ddof=1) / n
-    out["difference"] = out["mean_treatment"] - out["mean_control"]
-    out["var_difference"] = out["var_control"] + out["var_treatment"]
+        out[name] = (np.column_stack([cols.mean(axis=1), cols.var(axis=1, ddof=1) / n]), n - 1)
+    (c, df0), (t, df1) = out.values()
+    out["difference"] = (np.column_stack([t[:, 0] - c[:, 0], c[:, 1] + t[:, 1]]), df0 + df1)
     return out
 
 

@@ -24,7 +24,8 @@ and only what is read is drawn: the shared noise over the t subjects with a
 missing endpoint (m, t) and C's gate uniforms over the withdrawn (m, s52).
 An analysis makes its ``Draws`` once and each method only selects from them
 (``impute_matrix``), by the dataset's cached scenario codes
-(``TrialDataset.columns``).
+(``TrialDataset.columns``); its result is the endpoint matrix, since those
+codes and C's gates already say which draw filled each value.
 """
 from __future__ import annotations
 
@@ -48,10 +49,6 @@ MONOTONE_SEQUENTIAL = "monotone-sequential"
 
 #: Floor for residual variances so posterior draws stay proper on degenerate pools.
 VARIANCE_FLOOR = 1e-8
-
-# Provenance codes per imputed value.
-OBSERVED, MAR_ADHERER, RETRIEVED_DROPOUT, POOLED, GATED_ADHERER, GATED_RD = range(6)
-_S52_CODE = {"A": MAR_ADHERER, "B": RETRIEVED_DROPOUT, "C": GATED_ADHERER, "D": POOLED}
 
 _ARM_POOLED = 2  # stream scope code when donor arms are pooled
 #: Per donor-fit purpose: its donors' name in pooling events, and the methods it imputes S5.2 for.
@@ -92,10 +89,9 @@ class NormalImputationModel:
 
 @dataclass(frozen=True)
 class ImputationResult:
-    """All rounds at once: (m, n) endpoint and provenance-code matrices."""
+    """All rounds at once: the (m, n) endpoint matrix and the method's fallback events."""
 
     endpoints: np.ndarray
-    provenance_codes: np.ndarray
     fallback_events: tuple[str, ...] = ()
 
 
@@ -274,17 +270,12 @@ def impute_matrix(dataset: TrialDataset, cfg: ImputationConfig, *, replicate: in
         draws = Draws(dataset, cfg, (cfg.method,), replicate)
     method, s52 = cfg.method, draws.s52
     out = draws.filled.copy()
-    # Provenance by scenario code, S1 to S5.2.
-    codes = np.array([OBSERVED, MAR_ADHERER, OBSERVED, RETRIEVED_DROPOUT, _S52_CODE[method]], dtype=np.int8)
-    prov = np.repeat(codes[dataset.columns.scenario][None], cfg.m, axis=0)
     # Withdrawn (S5.2) subjects take adherer draws under A, retrieved-dropout
     # draws under B, either one, by their gate, under C and the refit's under D.
     if method == "C":
         out[:, s52] = np.where(draws.gates, draws.rd52, draws.mar52)
-        prov[:, s52] = np.where(draws.gates, GATED_RD, GATED_ADHERER)
     else:
         out[:, s52] = {"A": draws.mar52, "B": draws.rd52, "D": draws.pool52}[method]
     if np.isnan(out).any():
         raise ImputationError("imputation left missing endpoints behind")
-    return ImputationResult(endpoints=out, provenance_codes=prov,
-                            fallback_events=tuple(sorted(draws.fallback[method])))
+    return ImputationResult(endpoints=out, fallback_events=tuple(sorted(draws.fallback[method])))

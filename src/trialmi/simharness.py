@@ -2,8 +2,11 @@
 aggregate bias / ESE / ASE / coverage against the internally computed
 complete-data truth.
 
-Replicates own derived random streams, so results are bit-identical for a
-given master seed regardless of worker count or execution order.
+A replicate gives its scenario counts per arm and, per method and estimand,
+the pooled point, SE and CI bounds, as arrays; the plan stacks them along a
+replicate axis and reduces each metric along it.  Replicates own derived
+random streams, so results are bit-identical for a given master seed
+regardless of worker count or execution order.
 """
 from __future__ import annotations
 
@@ -16,11 +19,11 @@ import numpy as np
 from .core import ScenarioLabel, TrialDataset, scenario_counts
 from .datagen import GenParams, TrueValues, generate_trial, generate_truth, resolve_params
 from .errors import ConfigError, SimulationError, TrialMIError
-from .estimation import PooledEstimate, estimate_matrix, pool_rubin
+from .estimation import ESTIMANDS, PooledEstimate, estimate_matrix, pool_rubin
 from .imputation import METHODS, Draws, ImputationConfig, impute_matrix
 
-ESTIMANDS = ("control", "treatment", "difference")
-_LABELS = tuple(ScenarioLabel)
+#: Largest share of a plan's replicates that may fail with a typed error and be excluded.
+MAX_FAILURE_FRACTION = 0.01
 
 
 @dataclass(frozen=True)
@@ -37,7 +40,6 @@ class SimPlan:
     workers: int = 1
     truth_n_datasets: int = 20000
     ci_level: float = 0.95
-    max_failure_fraction: float = 0.01
 
     def __post_init__(self) -> None:
         if self.n_replicates < 1:
@@ -77,31 +79,23 @@ def analyze_dataset(dataset: TrialDataset, imputation: ImputationConfig, methods
                     level: float, replicate: int = 0) -> dict[str, dict[str, PooledEstimate]]:
     """Impute under each method from one set of draws with the ``imputation`` settings,
     estimate every round and pool with Rubin's rules: the pooled estimate per method and estimand."""
-    arms = dataset.arm
-    n0, n1 = np.bincount(arms, minlength=2).tolist()
-    com_df = {"control": n0 - 1, "treatment": n1 - 1, "difference": n0 + n1 - 2}
     draws = Draws(dataset, imputation, methods, replicate)
     out: dict[str, dict[str, PooledEstimate]] = {}
     for method in methods:
         imputed = impute_matrix(dataset, replace(imputation, method=method), replicate=replicate, draws=draws)
-        est = estimate_matrix(arms, imputed.endpoints)
-        out[method] = {}
-        for estimand in ESTIMANDS:
-            key = estimand if estimand == "difference" else f"mean_{estimand}"
-            vkey = "var_difference" if estimand == "difference" else f"var_{estimand}"
-            out[method][estimand] = pool_rubin(np.column_stack([est[key], est[vkey]]),
-                                               level=level, com_df=com_df[estimand])
+        out[method] = {estimand: pool_rubin(pairs, level=level, com_df=df)
+                       for estimand, (pairs, df) in estimate_matrix(dataset.arm, imputed.endpoints).items()}
     return out
 
 
 def _run_replicate(args):
-    """One replicate; returns (rep, counts, {method: {estimand: 4 floats}}) or,
-    when it fails with a TrialMIError, (rep, error message). Any other
-    exception propagates with a note naming the replicate."""
+    """One replicate: (rep, counts (2, 5) per arm and scenario, values (methods,
+    estimands, 4) of point, SE, CI low and CI high) or, when it fails with a
+    TrialMIError, (rep, message). Any other exception propagates with a note."""
     params, plan, rep = args
     try:
         dataset = generate_trial(params, plan.seed, replicate=rep)
-        counts = scenario_counts(dataset)
+        counts = np.array([list(c.values()) for c in scenario_counts(dataset).values()], dtype=float)
         pooled = analyze_dataset(dataset, replace(plan.imputation, seed=plan.seed), plan.methods,
                                  plan.ci_level, replicate=rep)
     except TrialMIError as exc:
@@ -110,29 +104,17 @@ def _run_replicate(args):
         if hasattr(exc, "add_note"):  # Python 3.11+
             exc.add_note(f"replicate {rep}")
         raise
-    per_method = {method: {estimand: (p.point, math.sqrt(p.total), p.ci_low, p.ci_high)
-                           for estimand, p in by_estimand.items()}
-                  for method, by_estimand in pooled.items()}
-    count_arr = np.array([[counts[arm][label] for label in _LABELS] for arm in (0, 1)], dtype=float)
-    return (rep, count_arr, per_method)
-
-
-def summarize_scenarios(count_arrays: Sequence[np.ndarray], n_per_arm: int
-                        ) -> dict[tuple[int, ScenarioLabel], tuple[float, float]]:
-    """Mean per-replicate subject counts and percentages per arm and scenario."""
-    if not count_arrays:
-        raise SimulationError("no replicates to summarize")
-    means = np.stack(count_arrays).mean(axis=0).tolist()
-    return {(arm, label): (means[arm][pos], 100.0 * means[arm][pos] / n_per_arm)
-            for arm in (0, 1) for pos, label in enumerate(_LABELS)}
+    values = np.array([[(p.point, math.sqrt(p.total), p.ci_low, p.ci_high) for p in by_estimand.values()]
+                       for by_estimand in pooled.values()])
+    return (rep, counts, values)
 
 
 def run_plan(plan: SimPlan) -> MetricsTable:
-    """Execute the plan and return the aggregated metrics table."""
+    """Execute the plan: BIAS, ESE, ASE and CP per method and estimand over the
+    replicates that did not fail, and mean counts and percentages per arm and scenario."""
     params = resolve_params(plan.params)
     truth = generate_truth(params, plan.truth_n_datasets, plan.seed)
-    truth_by_estimand = {"control": truth.mean_control, "treatment": truth.mean_treatment,
-                         "difference": truth.difference}
+    target = np.array([truth.mean_control, truth.mean_treatment, truth.difference])
 
     payloads = [(params, plan, rep) for rep in range(plan.n_replicates)]
     if plan.workers > 1:
@@ -145,32 +127,24 @@ def run_plan(plan: SimPlan) -> MetricsTable:
     else:
         results = [_run_replicate(p) for p in payloads]
 
-    failures = tuple(r[1] for r in results if len(r) == 2)
-    ok = [r for r in results if len(r) == 3]
-    if len(failures) > plan.max_failure_fraction * plan.n_replicates:
+    failures = tuple(r[1] for r in results if isinstance(r[1], str))
+    ok = [r for r in results if not isinstance(r[1], str)]
+    if len(failures) > MAX_FAILURE_FRACTION * plan.n_replicates:
         raise SimulationError(
             f"{len(failures)} of {plan.n_replicates} replicates failed: " + "; ".join(failures[:5]))
     if not ok:
         raise SimulationError("every replicate failed")
 
-    counts = [r[1] for r in ok]
-    rows: list[MetricsRow] = []
-    for method in plan.methods:
-        for estimand in ESTIMANDS:
-            vals = np.array([r[2][method][estimand] for r in ok])
-            points, ses, lo, hi = vals.T
-            target = truth_by_estimand[estimand]
-            covered = (lo <= target) & (target <= hi)
-            ese = float(points.std(ddof=1)) if points.size > 1 else 0.0
-            rows.append(MetricsRow(method=method, estimand=estimand,
-                                   bias=float(points.mean()) - target,
-                                   ese=ese, ase=float(ses.mean()), cp=float(covered.mean())))
-
-    return MetricsTable(
-        rows=tuple(rows),
-        scenario_summary=summarize_scenarios(counts, params.n_per_arm),
-        truth=truth,
-        n_replicates=len(ok),
-        n_excluded=len(failures),
-        failures=failures,
-    )
+    # (methods, estimands, 4, replicates): contiguous rows sum as 1-D arrays do.
+    points, ses, lo, hi = np.stack([r[2] for r in ok], axis=-1).transpose(2, 0, 1, 3)
+    bias = points.mean(axis=-1) - target
+    ese = points.std(axis=-1, ddof=1) if len(ok) > 1 else np.zeros(bias.shape)
+    covered = (lo <= target[:, None]) & (target[:, None] <= hi)
+    metrics = np.stack([bias, ese, ses.mean(axis=-1), covered.mean(axis=-1)], axis=-1).tolist()
+    rows = tuple(MetricsRow(method, estimand, *metrics[i][j])
+                 for i, method in enumerate(plan.methods) for j, estimand in enumerate(ESTIMANDS))
+    means = np.stack([r[1] for r in ok]).mean(axis=0).tolist()
+    summary = {(arm, label): (means[arm][label], 100.0 * means[arm][label] / params.n_per_arm)
+               for arm in (0, 1) for label in ScenarioLabel}
+    return MetricsTable(rows=rows, scenario_summary=summary, truth=truth, n_replicates=len(ok),
+                        n_excluded=len(failures), failures=failures)

@@ -3,6 +3,7 @@ CSVs, and reference forms of the vectorised rules and kernels."""
 from __future__ import annotations
 
 import csv
+import dataclasses
 import importlib.util
 import math
 import sys
@@ -14,9 +15,11 @@ from scipy.special import expit
 
 from trialmi._streams import TRUTH_NS, substream
 from trialmi.core import (ADMIN_WITHDRAWAL, DEFAULT_GRID, NO_TYPE, OTHER_WITHDRAWAL, ScenarioLabel,
-                          SubjectRecord, TrialDataset, VisitGrid)
-from trialmi.datagen import TRUTH_SUBJECTS, TrueValues, draw_baseline, resolve_params
+                          SubjectRecord, TrialDataset, VisitGrid, scenario_counts)
+from trialmi.datagen import (TRUTH_SUBJECTS, TrueValues, draw_baseline, generate_trial, generate_truth,
+                             resolve_params)
 from trialmi.errors import ValidationError
+from trialmi.simharness import MetricsRow, analyze_dataset
 from trialmi.survival import TIME_FLOOR, SurvivalSample
 
 _COUNTER = [0]
@@ -317,3 +320,36 @@ def reference_pool_rubin(estimates, level=0.95, com_df=None):
         df = df_old
     half = float(stats.t.ppf((1.0 + level) / 2.0, df)) * math.sqrt(t) if t > 0 else 0.0
     return qbar, w, b, t, df, qbar - half, qbar + half
+
+
+def reference_metrics(plan):
+    """``simharness.run_plan``'s rows and scenario summary as a loop over the
+    replicates, for a plan in which none fails: each trial generated and
+    analysed in turn, then BIAS, ESE, ASE and CP per method and estimand from
+    1-D arrays over the replicates, and the mean count per arm and scenario."""
+    params = resolve_params(plan.params)
+    truth = generate_truth(params, plan.truth_n_datasets, plan.seed)
+    target = {"control": truth.mean_control, "treatment": truth.mean_treatment,
+              "difference": truth.difference}
+    pooled, counts = [], []
+    for rep in range(plan.n_replicates):
+        data = generate_trial(params, plan.seed, replicate=rep)
+        counts.append(scenario_counts(data))
+        pooled.append(analyze_dataset(data, dataclasses.replace(plan.imputation, seed=plan.seed),
+                                      plan.methods, plan.ci_level, replicate=rep))
+    rows = []
+    for method in plan.methods:
+        for estimand, t in target.items():
+            estimates = [by_method[method][estimand] for by_method in pooled]
+            points = np.array([p.point for p in estimates])
+            ses = np.array([math.sqrt(p.total) for p in estimates])
+            covered = np.array([p.ci_low <= t <= p.ci_high for p in estimates])
+            rows.append(MetricsRow(method=method, estimand=estimand, bias=float(points.mean()) - t,
+                                   ese=float(points.std(ddof=1)), ase=float(ses.mean()),
+                                   cp=float(covered.mean())))
+    summary = {}
+    for arm in (0, 1):
+        for label in ScenarioLabel:
+            mean = float(np.mean([c[arm][label] for c in counts]))
+            summary[(arm, label)] = (mean, 100.0 * mean / params.n_per_arm)
+    return tuple(rows), summary

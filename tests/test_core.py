@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from trialmi.cli import read_dataset_csv
 from trialmi.core import (DEFAULT_GRID, NO_TYPE, ScenarioLabel, TrialDataset, VisitGrid,
                           classify_scenario, scenario_counts, validate_dataset)
+from trialmi.datagen import generate_trial
 from trialmi.errors import ValidationError
 
 from .helpers import (completer, make_dataset, make_subject, reference_classify,
@@ -121,6 +122,16 @@ class TestValidation:
         with pytest.raises(ValidationError, match="1 subjects on 4 visits"):
             TrialDataset(DEFAULT_GRID, ("X",), np.array([0]), np.array([8.0]), np.array([bad.outcomes]),
                          nan, nan, np.array([NO_TYPE]))
+
+    @pytest.mark.parametrize("field", ["arm", "withdraw_type"])
+    @pytest.mark.parametrize("dtype", [float, bool])
+    def test_codes_that_are_not_integers_are_rejected(self, field, dtype):
+        # 0.0/1.0 arms would pass every value rule, then fail inside the
+        # analysis; the dataset refuses them, naming the field.
+        data = generate_trial("setting1", 1)
+        codes = getattr(data, field).astype(dtype)
+        with pytest.raises(ValidationError, match=f"^{field} must hold integer codes, got dtype {codes.dtype}$"):
+            dataclasses.replace(data, **{field: codes})
 
     def test_observed_after_withdrawal(self):
         bad = make_subject([-0.1, -0.2, -0.3, None], withdraw=20.0)

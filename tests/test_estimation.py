@@ -7,28 +7,31 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from trialmi.errors import EstimationError
-from trialmi.estimation import estimate_matrix, pool_rubin
+from trialmi.estimation import ESTIMANDS, estimate_matrix, pool_rubin
 
 from .helpers import reference_pool_rubin
 
 
 def estimate(values0, values1):
-    """estimate_matrix on one round, as floats."""
+    """estimate_matrix on one round: (point, variance, complete-data df) per estimand."""
     arms = np.array([0] * len(values0) + [1] * len(values1))
     endpoints = np.array([list(values0) + list(values1)], dtype=float)
-    return {k: float(v[0]) for k, v in estimate_matrix(arms, endpoints).items()}
+    out = estimate_matrix(arms, endpoints)
+    assert all(pairs.shape == (1, 2) for pairs, _ in out.values())
+    return {k: (float(pairs[0, 0]), float(pairs[0, 1]), df) for k, (pairs, df) in out.items()}
 
 
 class TestCompleteEstimate:
     def test_hand_arithmetic(self):
-        est = estimate([1.0, 2.0, 3.0], [2.0, 2.0, 2.0])
-        assert est["mean_control"] == pytest.approx(2.0, abs=1e-15)
-        assert est["var_control"] == pytest.approx(1.0 / 3.0, abs=1e-15)
+        est = estimate([1.0, 2.0, 3.0], [2.0, 2.0, 2.0, 2.0])
+        assert list(est) == list(ESTIMANDS)
+        assert est["control"][0] == pytest.approx(2.0, abs=1e-15)
+        assert est["control"][1] == pytest.approx(1.0 / 3.0, abs=1e-15)
+        assert [df for *_, df in est.values()] == [2, 3, 5]
 
     def test_identical_constants(self):
         est = estimate([4.0] * 5, [4.0] * 5)
-        assert est["difference"] == 0.0
-        assert est["var_difference"] == 0.0
+        assert est["difference"][:2] == (0.0, 0.0)
 
     def test_empty_arm_is_error(self):
         with pytest.raises(EstimationError):
@@ -51,9 +54,10 @@ class TestCompleteEstimate:
 
         m0, var0 = streaming(v0)
         m1, var1 = streaming(v1)
-        assert est["mean_control"] == pytest.approx(m0, rel=1e-12)
-        assert est["var_control"] == pytest.approx(var0, rel=1e-12)
-        assert est["difference"] == pytest.approx(m1 - m0, rel=1e-12)
+        assert est["control"][0] == pytest.approx(m0, rel=1e-12)
+        assert est["control"][1] == pytest.approx(var0, rel=1e-12)
+        assert est["difference"][0] == pytest.approx(m1 - m0, rel=1e-12)
+        assert est["difference"][1] == pytest.approx(var0 + var1, rel=1e-12)
 
 
 class TestRubinPooling:

@@ -13,9 +13,8 @@ from trialmi.datagen import generate_trial, setting_preset
 from trialmi.errors import ConfigError, ImputationError
 from trialmi import imputation
 from trialmi.estimation import pool_rubin
-from trialmi.imputation import (GATED_ADHERER, GATED_RD, MAR_ADHERER, OBSERVED,
-                                RETRIEVED_DROPOUT, ImputationConfig, NormalImputationModel,
-                                fit_donor_model, impute_matrix, posterior_draws)
+from trialmi.imputation import (Draws, ImputationConfig, NormalImputationModel, fit_donor_model,
+                                impute_matrix, posterior_draws)
 from trialmi.survival import build_sample, fit_survival, prob_disc_before_end
 
 from .analytic_oracle import conditional_disc_rate
@@ -193,7 +192,8 @@ class TestWrappers:
         s2 = make_subject([-0.2, -0.4, -0.6, None], baseline=8.0, subject_id="S2A")
         data = make_dataset(donors + [s2])
         res = impute_matrix(data, cfg())
-        imputed = np.flatnonzero((res.provenance_codes != OBSERVED).any(axis=0))
+        # NaN compares unequal, so a missing endpoint counts as changed.
+        imputed = np.flatnonzero((res.endpoints != data.y[:, -1]).any(axis=0))
         assert [data.subjects[j].id for j in imputed] == ["S2A"]
         assert res.endpoints[:, imputed[0]].shape == (40,)
         observed = [s.outcomes[-1] for s in donors]
@@ -254,7 +254,6 @@ class TestWrappers:
         assert any(e.startswith("adherent donors pooled across arms") for e in at.fallback_events)
         assert at.fallback_events == above.fallback_events
         assert np.array_equal(at.endpoints, above.endpoints)
-        assert np.array_equal(at.provenance_codes, above.provenance_codes)
 
     def test_two_donor_threshold_pools_method_d_endpoint_donors(self):
         kept = [completer(-1.0 - 0.1 * j, baseline=7.0 + 0.4 * j) for j in range(2)]
@@ -314,16 +313,15 @@ class TestMethodLaws:
         results = {m: impute_matrix(data, cfg(m)) for m in "ABCD"}
         for m in "BCD":
             assert np.array_equal(results["A"].endpoints, results[m].endpoints)
-            assert np.array_equal(results["A"].provenance_codes, results[m].provenance_codes)
 
     def test_gate_selects_the_a_or_b_draw(self):
         data = wide_dataset()
         a, b, c = (impute_matrix(data, cfg(m, min_donor_pool=12)) for m in "ABC")
         s52 = data.columns.scenario == ScenarioLabel.S52
-        gated = c.provenance_codes[:, s52]
-        assert np.isin(gated, (GATED_ADHERER, GATED_RD)).all()
-        for code, source in ((GATED_ADHERER, a), (GATED_RD, b)):
-            chosen = gated == code
+        # C's gates, True where it takes the retrieved-dropout draw.
+        gates = Draws(data, cfg("C", min_donor_pool=12), ("C",)).gates
+        assert gates.shape == (len(c.endpoints), s52.sum())
+        for chosen, source in ((~gates, a), (gates, b)):
             assert chosen.any()
             assert np.array_equal(c.endpoints[:, s52][chosen], source.endpoints[:, s52][chosen])
         assert np.array_equal(c.endpoints[:, ~s52], a.endpoints[:, ~s52])
@@ -338,23 +336,18 @@ class TestMethodLaws:
             res = impute_matrix(data, cfg(m, min_donor_pool=12))
             assert np.array_equal(res.endpoints[:, observed],
                                   np.tile(endpoint[observed], (len(res.endpoints), 1)))
-            assert (res.provenance_codes[:, observed] == 0).all()
 
     def test_gate_frequency_matches_fitted_probability(self):
         data = wide_dataset(seed=11)
-        c = impute_matrix(data, cfg("C", m=10_000, min_donor_pool=12))
+        draws = Draws(data, cfg("C", m=10_000, min_donor_pool=12), ("C",))
         labels = [classify_scenario(s, data.grid) for s in data.subjects]
         models = {arm: fit_survival(build_sample(data, arm)) for arm in (0, 1)}
-        checked = 0
-        for j, (s, L) in enumerate(zip(data.subjects, labels)):
-            if L is not ScenarioLabel.S52:
-                continue
+        s52 = [s for s, L in zip(data.subjects, labels) if L is ScenarioLabel.S52]
+        assert len(s52) >= 10 and draws.gates.shape == (10_000, len(s52))
+        for s, gate in zip(s52, draws.gates.T):
             p_hat = prob_disc_before_end(models[s.arm], s.withdraw_time, 48.0)
-            freq = (c.provenance_codes[:, j] == GATED_RD).mean()
-            se = math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / len(c.endpoints))
-            assert abs(freq - p_hat) < 3 * se + 1e-9
-            checked += 1
-        assert checked >= 10
+            se = math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / gate.size)
+            assert abs(gate.mean() - p_hat) < 3 * se + 1e-9
 
     def test_gate_is_calibrated_against_the_exact_rate(self):
         # setting2's discontinuation does not depend on the response, so a
@@ -486,25 +479,33 @@ class TestMethodLaws:
         endpoint = np.array([np.nan if s.outcomes[-1] is None else s.outcomes[-1] for s in data.subjects])
         observed = ~np.isnan(endpoint)
         assert np.array_equal(res.endpoints[:, observed], np.tile(endpoint[observed], (len(res.endpoints), 1)))
-        assert (res.provenance_codes[:, column(data, "W1")] == GATED_ADHERER).all()
+        draws = Draws(data, cfg("C", m=50), ("C",))
+        assert not draws.gates[:, list(draws.s52).index(column(data, "W1"))].any()
         assert "no observed discontinuation in arm 1: gate probability 0" in res.fallback_events
         assert not any("arm 0" in e for e in res.fallback_events)
 
 
 class TestCompletedDatasets:
     def test_provenance_tags(self):
+        # Each imputed value comes from its scenario's donors: moving an
+        # adherer's endpoint (S1) moves only S2 draws, a retrieved dropout's
+        # (S3) only S4 draws, and observed values pass through.
         data = no_s52_dataset()
+        scenario = data.columns.scenario
         res = impute_matrix(data, cfg("A", m=3, min_donor_pool=12))
-        assert res.provenance_codes.shape == (3, len(data.subjects))
-        labels = [classify_scenario(s, data.grid) for s in data.subjects]
-        for codes in res.provenance_codes:
-            for code, L in zip(codes, labels):
-                if L is ScenarioLabel.S2:
-                    assert code == MAR_ADHERER
-                elif L is ScenarioLabel.S4_51:
-                    assert code == RETRIEVED_DROPOUT
-                else:
-                    assert code == OBSERVED
+        assert res.endpoints.shape == (3, len(data.subjects))
+        assert set(scenario.tolist()) == {S.S1, S.S2, S.S3, S.S4_51}
+        observed = np.isin(scenario, [S.S1, S.S3])
+        assert np.array_equal(res.endpoints[:, observed], np.tile(data.y[observed, -1], (3, 1)))
+        for donor, moved in ((S.S1, S.S2), (S.S3, S.S4_51)):
+            j = np.flatnonzero(scenario == donor)[0]
+            y = data.y.copy()
+            y[j, -1] += 5.0
+            shifted = impute_matrix(dataclasses.replace(data, y=y), cfg("A", m=3, min_donor_pool=12))
+            changed = (shifted.endpoints != res.endpoints).any(axis=0)
+            assert changed[j]
+            changed[j] = False
+            assert changed.any() and (scenario[changed] == moved).all()
 
 
 class TestDeterminism:

@@ -13,12 +13,12 @@ from trialmi.cli import read_dataset_csv
 from trialmi.core import ScenarioLabel, validate_dataset
 from trialmi.datagen import generate_trial, setting_preset
 from trialmi.errors import ImputationError, SimulationError, TrialMIError
-from trialmi.estimation import estimate_matrix
+from trialmi.estimation import ESTIMANDS, estimate_matrix
 from trialmi.imputation import METHODS, ImputationConfig
-from trialmi.simharness import ESTIMANDS, SimPlan, analyze_dataset, run_plan
+from trialmi.simharness import SimPlan, analyze_dataset, run_plan
 
 from .helpers import (completer, count_calls, load_trialgen, make_dataset, make_subject,
-                      reference_pool_rubin)
+                      reference_metrics, reference_pool_rubin)
 from .strategies import valid_records
 
 PARAMS = dataclasses.replace(setting_preset("setting1"), n_per_arm=60)
@@ -46,23 +46,36 @@ def test_worker_count_does_not_change_results():
     assert one.scenario_summary == two.scenario_summary
 
 
+def test_metrics_match_a_per_replicate_loop():
+    # Bit for bit: the replicate arrays reduce as 1-D arrays over the replicates do.
+    p = dataclasses.replace(plan(), n_replicates=24, methods=("D", "A", "C"))
+    table = run_plan(p)
+    rows, summary = reference_metrics(p)
+    assert table.rows == rows and table.scenario_summary == summary
+    assert list(table.scenario_summary) == list(summary)
+    assert (table.n_replicates, table.n_excluded) == (24, 0)
+
+
 def test_typed_failure_is_excluded_within_allowance(monkeypatch):
     fail_replicate(monkeypatch, 1, ImputationError("donor pool exhausted"))
-    table = run_plan(plan(max_failure_fraction=0.25))
+    monkeypatch.setattr(simharness, "MAX_FAILURE_FRACTION", 0.25)
+    table = run_plan(plan())
     assert (table.n_replicates, table.n_excluded) == (3, 1)
     assert table.failures == ("replicate 1: ImputationError: donor pool exhausted",)
 
 
 def test_typed_failure_beyond_allowance_fails_the_plan(monkeypatch):
     fail_replicate(monkeypatch, 1, ImputationError("donor pool exhausted"))
+    monkeypatch.setattr(simharness, "MAX_FAILURE_FRACTION", 0.2)
     with pytest.raises(SimulationError, match="1 of 4 replicates failed"):
-        run_plan(plan(max_failure_fraction=0.2))
+        run_plan(plan())
 
 
 def test_programming_error_aborts_the_plan(monkeypatch):
     fail_replicate(monkeypatch, 1, ValueError("not a typed failure"))
+    monkeypatch.setattr(simharness, "MAX_FAILURE_FRACTION", 1.0)
     with pytest.raises(ValueError, match="not a typed failure") as info:
-        run_plan(plan(max_failure_fraction=1.0))
+        run_plan(plan())
     if sys.version_info >= (3, 11):
         assert info.value.__notes__ == ["replicate 1"]
 
@@ -121,7 +134,8 @@ def test_replicate_classifies_each_subject_once(monkeypatch):
                         lambda *a, **kw: made.append(generate(*a, **kw)) or made[-1])
     counts = count_passes(monkeypatch)
     result = simharness._run_replicate((PARAMS, plan(), 0))
-    assert len(result) == 3 and sorted(result[2]) == list(METHODS)
+    rep, scenarios, values = result
+    assert rep == 0 and scenarios.shape == (2, len(ScenarioLabel)) and values.shape == (len(METHODS), 3, 4)
     assert counts() == (1, 0, 0) and len(made) == 1 and "subjects" not in vars(made[0])
     run_plan(plan())
     assert counts() == (1 + 4, 0, 0) and not any("subjects" in vars(d) for d in made)
@@ -158,15 +172,14 @@ def test_shared_work_matches_separate_calls(case, source, tmp_path, monkeypatch)
     for cfg, got in calls:
         fresh = imputation.impute_matrix(data, cfg, replicate=3)
         assert np.array_equal(got.endpoints, fresh.endpoints)
-        assert np.array_equal(got.provenance_codes, fresh.provenance_codes)
         assert got.fallback_events == fresh.fallback_events
         est = estimate_matrix(arms, fresh.endpoints)
-        for estimand in ESTIMANDS:
-            key = estimand if estimand == "difference" else f"mean_{estimand}"
-            vkey = "var_difference" if estimand == "difference" else f"var_{estimand}"
+        assert list(est) == list(pooled[cfg.method]) == list(ESTIMANDS)
+        for estimand, (pairs, df) in est.items():
+            assert df == com_df[estimand]
             p = pooled[cfg.method][estimand]
             assert (p.point, p.within, p.between, p.total, p.df, p.ci_low, p.ci_high) == \
-                reference_pool_rubin(list(zip(est[key], est[vkey])), 0.9, com_df[estimand])
+                reference_pool_rubin(pairs.tolist(), 0.9, com_df[estimand])
 
 
 def test_shared_work_makes_fewer_donor_fits(monkeypatch):
