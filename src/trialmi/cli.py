@@ -432,7 +432,7 @@ def cmd_analyze(args) -> int:
         for v in violations:
             print(f"error: subject {v.subject_id}: {v.message}", file=sys.stderr)
         return 1
-    pooled = analyze_dataset(dataset, dataclasses.replace(imputation, seed=seed), methods, level)
+    pooled, events = analyze_dataset(dataset, dataclasses.replace(imputation, seed=seed), methods, level)
     rows = [[method, estimand, _fmt(p.point), _fmt(math.sqrt(p.total)), _fmt(p.ci_low), _fmt(p.ci_high)]
             for method, by_estimand in pooled.items() for estimand, p in by_estimand.items()]
 
@@ -440,7 +440,7 @@ def cmd_analyze(args) -> int:
                 "dataset_sha256": hashlib.sha256(args.dataset.read_bytes()).hexdigest(),
                 "methods": list(methods), "seed": seed, "ci_level": level,
                 "imputation": _imputation_identity(imputation)}
-    mid = _write_manifest(args.out, identity, {})
+    mid = _write_manifest(args.out, identity, {"fallback_events": events})
     _write_csv(args.out / "estimates.csv", mid,
                ["method", "estimand", "estimate", "se", "ci_low", "ci_high"], rows)
     print(f"wrote estimates.csv to {args.out}")

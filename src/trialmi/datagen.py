@@ -10,8 +10,8 @@ withdrawal is an independent constant-hazard event that masks every visit
 after it.
 
 One discontinuation kernel, ``_first_disc_visit``, and one baseline sampler,
-``draw_baseline``, serve trials and truth; where 2a and 2b are whole and a + b <= 4
-it draws Beta(a, b) as an exact gamma sum, stream E1, Z, E2, E3 for (1.5, 2).
+``draw_baseline``, serve trials and truth; where b is whole and b <= 4 it
+draws Beta(a, b) exactly as exp(-sum_j E_j / (a + j)), stream E0, E1 for (1.5, 2).
 ``generate_trial`` draws each arm as arrays (baselines, subject effects,
 visit noise, then per-visit discontinuation uniforms), masks withdrawals and
 endpoint missingness in those arrays, and keeps them as the dataset.  The
@@ -156,23 +156,20 @@ class TrueValues:
 
 def draw_baseline(rng: np.random.Generator, params: GenParams, size):
     """Baseline outcome levels (an array of ``size``) from the location-scaled
-    Beta(a, b) law: ``rng.beta`` unless 2a and 2b are whole and a + b <= 4.
-    Then it is exactly G / (G + H), G ~ Gamma(a) and H ~ Gamma(b) each the sum
-    of int(shape) standard exponentials and, for a half-integer, Z^2/2 of a
-    standard normal Z, each term drawn in turn (for (1.5, 2): E1, Z, E2, E3) in
-    blocks, the stream of one draw, so that two arrays of ``size`` are alive."""
+    Beta(a, b) law: ``rng.beta`` unless b is whole and b <= 4. Then it is exactly
+    prod_{j<b} Beta(a + j, 1) = exp(-sum_j E_j / (a + j)) (Devroye 1986, IX.4), each
+    standard exponential E_j drawn over the whole array in turn (E0, E1 for (1.5, 2))
+    in blocks, the stream of one draw, so that only the output array is alive."""
     a, b = params.baseline_beta_a, params.baseline_beta_b
-    if (2 * a) % 1 or (2 * b) % 1 or a + b > 4:
+    if b % 1 or b > 4:
         return params.baseline_loc + params.baseline_scale * rng.beta(a, b, size=size)
-    x, h = np.zeros(size), np.zeros(size)
-    t = np.empty(8192)  # one block of a term: it bounds the scratch memory, not the stream
-    for flat, shape in ((x.reshape(-1), a), (h.reshape(-1), b)):
-        for normal in [False] * int(shape) + [True] * (shape % 1 != 0):
-            draw = rng.standard_normal if normal else rng.standard_exponential
-            for lo in range(0, flat.size, t.size):
-                term = draw(out=t[:flat.size - lo])
-                flat[lo:lo + term.size] += np.square(term, out=term) * 0.5 if normal else term
-    x /= np.add(h, x, out=h)
+    x = np.zeros(size)
+    flat, t = x.reshape(-1), np.empty(8192)  # one block of a term: it bounds the scratch memory, not the stream
+    for j in range(int(b)):
+        for lo in range(0, flat.size, t.size):
+            term = rng.standard_exponential(out=t[:flat.size - lo])
+            flat[lo:lo + term.size] += np.divide(term, a + j, out=term)
+    np.exp(np.negative(x, out=x), out=x)
     x *= params.baseline_scale
     x += params.baseline_loc
     return x
@@ -211,9 +208,9 @@ def generate_trial(params: Union[GenParams, str], seed: int, *, replicate: int =
 
     Each arm, control first, is drawn as arrays in one pass. The trial's
     random-stream layout is, per arm of n subjects and K visits: baselines
-    (n), subject effects (n), visit noise (n, K), discontinuation uniforms
-    (K, n), withdrawal exponentials (n, only when withdrawal_hazard > 0), then
-    endpoint-missingness uniforms (n). The masking rules:
+    (E0, E1, n each, for the presets), subject effects (n), visit noise (n, K),
+    discontinuation uniforms (K, n), withdrawal exponentials (n, only when
+    withdrawal_hazard > 0), then endpoint-missingness uniforms (n). The masking rules:
 
     - every visit after a withdrawal inside the study is missing;
     - the discontinuation week is recorded only when it precedes both the
@@ -268,7 +265,7 @@ def _complete_endpoint_means(rng: np.random.Generator, params: GenParams, n_data
     draw of that average with the same law. Each arm, control first, draws
     (the truth's stream layout):
 
-    - baselines (b, n), per subject;
+    - baselines per subject: E0, E1, (b, n) each, for the presets;
     - when discontinuation does not move the mean (dtheta = 0) or does not
       depend on the response (alpha1 = 0): one normal (b) for the mean of
       subject effect and endpoint noise, N(0, (d_K^2 sigma_s2 + sigma_e2) / n),

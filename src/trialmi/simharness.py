@@ -76,16 +76,19 @@ class MetricsTable:
 
 
 def analyze_dataset(dataset: TrialDataset, imputation: ImputationConfig, methods: Sequence[str],
-                    level: float, replicate: int = 0) -> dict[str, dict[str, PooledEstimate]]:
+                    level: float, replicate: int = 0) -> tuple[dict, dict[str, tuple[str, ...]]]:
     """Impute under each method from one set of draws with the ``imputation`` settings,
-    estimate every round and pool with Rubin's rules: the pooled estimate per method and estimand."""
+    estimate every round and pool with Rubin's rules: per method, the pooled estimate
+    per estimand, and the method's sorted fallback events."""
     draws = Draws(dataset, imputation, methods, replicate)
     out: dict[str, dict[str, PooledEstimate]] = {}
+    events: dict[str, tuple[str, ...]] = {}
     for method in methods:
         imputed = impute_matrix(dataset, replace(imputation, method=method), replicate=replicate, draws=draws)
         out[method] = {estimand: pool_rubin(pairs, level=level, com_df=df)
                        for estimand, (pairs, df) in estimate_matrix(dataset.arm, imputed.endpoints).items()}
-    return out
+        events[method] = imputed.fallback_events
+    return out, events
 
 
 def _run_replicate(args):
@@ -96,8 +99,8 @@ def _run_replicate(args):
     try:
         dataset = generate_trial(params, plan.seed, replicate=rep)
         counts = np.array([list(c.values()) for c in scenario_counts(dataset).values()], dtype=float)
-        pooled = analyze_dataset(dataset, replace(plan.imputation, seed=plan.seed), plan.methods,
-                                 plan.ci_level, replicate=rep)
+        pooled, _ = analyze_dataset(dataset, replace(plan.imputation, seed=plan.seed), plan.methods,
+                                    plan.ci_level, replicate=rep)
     except TrialMIError as exc:
         return (rep, f"replicate {rep}: {type(exc).__name__}: {exc}")
     except Exception as exc:

@@ -336,7 +336,7 @@ def reference_metrics(plan):
         data = generate_trial(params, plan.seed, replicate=rep)
         counts.append(scenario_counts(data))
         pooled.append(analyze_dataset(data, dataclasses.replace(plan.imputation, seed=plan.seed),
-                                      plan.methods, plan.ci_level, replicate=rep))
+                                      plan.methods, plan.ci_level, replicate=rep)[0])
     rows = []
     for method in plan.methods:
         for estimand, t in target.items():

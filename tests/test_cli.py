@@ -21,7 +21,7 @@ from trialmi.datagen import generate_trial
 from trialmi.errors import ValidationError
 from trialmi.imputation import ImputationConfig
 
-from .helpers import completer, count_calls, make_dataset, make_subject, write_csv
+from .helpers import completer, count_calls, load_trialgen, make_dataset, make_subject, write_csv
 from .strategies import invalid_records, valid_records
 
 SETTINGS = {f.name for f in dataclasses.fields(ImputationConfig)} - {"method", "seed"}
@@ -224,6 +224,21 @@ def test_analyze_defaults_without_config(trial_csv, tmp_path):
                                       "--methods", "A,B,C,D", "--seed", 0, "--level", 0.95)
     assert manifest == explicit_manifest
     assert (out / "estimates.csv").read_text() == (explicit / "estimates.csv").read_text()
+
+
+def test_analyze_records_each_methods_fallback_events(trial_csv, tmp_path):
+    # The benchmark generator's trial (seed 2, 150 per arm) has 11 retrieved
+    # dropouts in the control arm, below min_donor_pool (12), so every method
+    # pools them across arms.
+    trialgen = load_trialgen()
+    pooled_csv = tmp_path / "pooled.csv"
+    trialgen.write_csv(pooled_csv, trialgen.generate(2, n_per_arm=150)[0])
+    _, manifest = run(tmp_path, "pooled", "analyze", pooled_csv, "--m-imputations", 4, "--seed", 2)
+    assert manifest["execution"] == {
+        "fallback_events": {m: ["retrieved-dropout donors pooled across arms"] for m in "ABCD"}}
+    assert manifest["manifest_id"] == cli._manifest_id(manifest["identity"])
+    _, manifest = run(tmp_path, "own-arms", "analyze", trial_csv, "--m-imputations", 4, "--methods", "B,C")
+    assert manifest["execution"] == {"fallback_events": {"B": [], "C": []}}
 
 
 def rejects(tmp_path, capsys, config, *argv):

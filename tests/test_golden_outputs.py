@@ -28,9 +28,9 @@ RUNS = {
                 ("estimates.csv",)),
 }
 GOLDEN = {
-    "simulate-setting1": "7b7e66851428c163de3a4fed334cedd08922023ba7eea7ec9999281661167651",
-    "simulate-setting2": "b58367c446ed9517dccc97da029096cca0c1384d9e3ab8a0bd9a9c37ff0fc84a",
-    "truth": "c7454df84d5a877d04e50b8c273d11094dfab759af3918b8d244c6a9f07bd074",
+    "simulate-setting1": "9bfce026f0c78f93df99297d143efeb9c333856996ef236cacc9a13f1f04429a",
+    "simulate-setting2": "5bcf5988edc8b1b07cd006e527f60f3f61383b0e5b54e180c5df42ee9360d96c",
+    "truth": "96fe4627fcce3d47c04e1add331e4152adc45e0a9624b1af23b66421df0bd5d6",
     "analyze": "17ad840b96efbda96786cb78ce9dd48684254c201d9668d4c39679b648743c1b",
 }
 

@@ -163,7 +163,7 @@ def test_shared_work_matches_separate_calls(case, source, tmp_path, monkeypatch)
         return calls[-1][1]
     monkeypatch.setattr(simharness, "impute_matrix", recording)
     imp, methods = CASES[case]
-    pooled = analyze_dataset(data, imp, methods, 0.9, replicate=3)
+    pooled, events = analyze_dataset(data, imp, methods, 0.9, replicate=3)
 
     arms = np.array([s.arm for s in data.subjects])
     n0, n1 = int((arms == 0).sum()), int((arms == 1).sum())
@@ -172,7 +172,7 @@ def test_shared_work_matches_separate_calls(case, source, tmp_path, monkeypatch)
     for cfg, got in calls:
         fresh = imputation.impute_matrix(data, cfg, replicate=3)
         assert np.array_equal(got.endpoints, fresh.endpoints)
-        assert got.fallback_events == fresh.fallback_events
+        assert got.fallback_events == fresh.fallback_events == events[cfg.method]
         est = estimate_matrix(arms, fresh.endpoints)
         assert list(est) == list(pooled[cfg.method]) == list(ESTIMANDS)
         for estimand, (pairs, df) in est.items():
@@ -203,7 +203,7 @@ def test_method_skips_donor_groups_it_does_not_use():
                  for arm in (0, 1) for j in range(8)]
     subjects += [make_subject([-0.2, None, None, None], arm=arm, withdraw=20.0) for arm in (0, 1)]
     data = make_dataset(subjects)
-    assert set(analyze_dataset(data, IMP, ("B", "D"), 0.95)) == {"B", "D"}
+    assert set(analyze_dataset(data, IMP, ("B", "D"), 0.95)[0]) == {"B", "D"}
     with pytest.raises(ImputationError, match="pooling arms"):
         analyze_dataset(data, IMP, ("B", "A"), 0.95)
 
@@ -225,7 +225,7 @@ def test_valid_dataset_gives_finite_estimates_or_a_typed_error(records, conditio
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simharness, "impute_matrix", recording)
         try:
-            pooled = analyze_dataset(data, imp, METHODS, 0.95)
+            pooled, _ = analyze_dataset(data, imp, METHODS, 0.95)
         except TrialMIError:
             return
     observed = [j for j, s in enumerate(records) if s.outcomes[-1] is not None]
