@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 # Top-level namespaces under one master seed.
 TRUTH_NS = 0     # complete-data truth oracle
 TRIAL_NS = 1     # trial generation, one stream per replicate
@@ -23,5 +25,8 @@ PUR_GATE = 4
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
-    """Generator addressed by ``key`` under ``seed``; disjoint across keys."""
+    """Generator addressed by ``key`` under ``seed``; disjoint across keys.
+    A negative seed is a ConfigError."""
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))

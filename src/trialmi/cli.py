@@ -24,7 +24,12 @@ flags override the file, and a key a command does not use is an error.
   imputation  m, min_donor_pool, mar_conditioning (simulate, analyze)
   plan        seed (all), preset and truth_n_datasets (simulate, truth),
               methods and ci_level (simulate, analyze), n_replicates, workers
-Numeric settings are JSON numbers; a string such as "5" is an error.
+Each value takes its dataclass field's type, so a string such as "5" for a
+number, or a null where the field cannot be None, is an error. Each flag sets
+the key its help shows: --m-imputations sets imputation.m and the others plan
+keys (--reps n_replicates, --truth-datasets and --n-datasets
+truth_n_datasets, --level ci_level). A plan setting left unset takes
+SimPlan's default, or for workers $TRIALMI_WORKERS when that is set.
 """
 from __future__ import annotations
 
@@ -53,12 +58,12 @@ from .simharness import SimPlan, analyze_dataset, run_plan
 
 WORKERS_ENV = "TRIALMI_WORKERS"
 
-_PLAN_KEYS = {"preset", "n_replicates", "methods", "seed", "workers",
-              "truth_n_datasets", "ci_level"}
-_IMPUTATION_TYPES = get_type_hints(ImputationConfig)
-_IMPUTATION_KEYS = set(_IMPUTATION_TYPES) - {"method", "seed"}
-_GEN_TYPES = get_type_hints(GenParams)
-_GEN_KEYS = set(_GEN_TYPES)
+#: Config keys per section, each with the type its value takes; a flag's dest is its key.
+_SETTINGS = {"gen": get_type_hints(GenParams),
+             "imputation": {k: t for k, t in get_type_hints(ImputationConfig).items()
+                            if k not in ("method", "seed")},
+             "plan": {"preset": str, **{k: t for k, t in get_type_hints(SimPlan).items()
+                                        if k not in ("params", "imputation")}}}
 #: Config sections and keys each command does not use, and so rejects.
 _UNUSED = {"simulate": set(),
            "analyze": {"gen", "plan.preset", "plan.n_replicates", "plan.workers", "plan.truth_n_datasets"},
@@ -80,34 +85,25 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="trialmi", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    every, gen, imputation = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    every.add_argument("--config", type=Path, help="JSON config file")
+    every.add_argument("--seed", type=int, help="master seed")
+    every.add_argument("--out", type=Path, default=Path("."), help="output directory")
+    gen.add_argument("--preset", choices=["setting1", "setting2"], help="parameter preset")
+    imputation.add_argument("--methods", type=str, help="comma-separated subset of A,B,C,D")
+    imputation.add_argument("--m-imputations", dest="m", type=int, help="imputations per method")
+    imputation.add_argument("--level", dest="ci_level", type=float, help="confidence level")
 
-    def common(p):
-        p.add_argument("--config", type=Path, help="JSON config file")
-        p.add_argument("--preset", choices=["setting1", "setting2"], help="parameter preset")
-        p.add_argument("--seed", type=int, help="master seed")
-        p.add_argument("--out", type=Path, default=Path("."), help="output directory")
-
-    sim = sub.add_parser("simulate", help="run a replicated simulation plan")
-    common(sim)
-    sim.add_argument("--reps", type=int, help="number of replicates")
-    sim.add_argument("--methods", type=str, help="comma-separated subset of A,B,C,D")
-    sim.add_argument("--m-imputations", type=int, help="imputations per replicate")
+    sim = sub.add_parser("simulate", parents=[every, gen, imputation],
+                         help="run a replicated simulation plan")
+    sim.add_argument("--reps", dest="n_replicates", type=int, help="number of replicates")
     sim.add_argument("--workers", type=int, help=f"worker processes (default ${WORKERS_ENV} or 1)")
-    sim.add_argument("--truth-datasets", type=int, help="datasets for the truth oracle")
-    sim.add_argument("--level", type=float, help="confidence level")
-
-    ana = sub.add_parser("analyze", help="apply the methods to a dataset CSV")
+    sim.add_argument("--truth-datasets", dest="truth_n_datasets", type=int,
+                     help="datasets for the truth oracle")
+    ana = sub.add_parser("analyze", parents=[every, imputation], help="apply the methods to a dataset CSV")
     ana.add_argument("dataset", type=Path, help="subject-level CSV")
-    ana.add_argument("--methods", type=str, help="comma-separated subset of A,B,C,D")
-    ana.add_argument("--m-imputations", type=int, help="imputations per method")
-    ana.add_argument("--seed", type=int, help="master seed")
-    ana.add_argument("--level", type=float, help="confidence level")
-    ana.add_argument("--config", type=Path, help="JSON config file (plan and imputation sections)")
-    ana.add_argument("--out", type=Path, default=Path("."))
-
-    tru = sub.add_parser("truth", help="compute complete-data truth values")
-    common(tru)
-    tru.add_argument("--n-datasets", type=int, help="number of complete datasets")
+    tru = sub.add_parser("truth", parents=[every, gen], help="compute complete-data truth values")
+    tru.add_argument("--n-datasets", dest="truth_n_datasets", type=int, help="number of complete datasets")
     return parser
 
 
@@ -128,16 +124,15 @@ def _load_config(path: Optional[Path], command: str) -> dict:
         raise ConfigError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    allowed = {"gen": _GEN_KEYS, "imputation": _IMPUTATION_KEYS, "plan": _PLAN_KEYS}
     for section, body in doc.items():
-        if section not in allowed:
+        if section not in _SETTINGS:
             raise ConfigError(f"{path}: unknown section {section!r}")
         if not isinstance(body, dict):
             raise ConfigError(f"{path}: section {section!r} must be an object")
         if section in _UNUSED[command]:
             raise ConfigError(f"{path}: {command} does not use section {section!r}")
         for key in body:
-            if key not in allowed[section]:
+            if key not in _SETTINGS[section]:
                 raise ConfigError(f"{path}: unknown key {section}.{key}")
             if f"{section}.{key}" in _UNUSED[command]:
                 raise ConfigError(f"{path}: {command} does not use {section}.{key}")
@@ -147,9 +142,9 @@ def _load_config(path: Optional[Path], command: str) -> dict:
 def _typed(kind, value, name: str):
     """A config setting as its dataclass field's type ``kind``: a list becomes
     a tuple of numbers (a VisitGrid for a grid), cast per element; a string
-    setting passes as it is, for its dataclass to check; a ConfigError names
-    the setting."""
-    if kind is str:
+    setting, or the methods (parsed as the flag is), passes as it is, for its
+    dataclass to check; a ConfigError names the setting."""
+    if str in (kind, *get_args(kind)):
         return value
     if kind is VisitGrid or get_origin(kind) is tuple:
         if not isinstance(value, list):
@@ -159,16 +154,6 @@ def _typed(kind, value, name: str):
     if value is None and type(None) in get_args(kind):
         return None
     return _cast(value, int if kind is int else float, name)
-
-
-def _resolve_gen_params(config: dict, preset_flag: Optional[str]) -> tuple[GenParams, str]:
-    preset = preset_flag or config.get("plan", {}).get("preset") or "setting1"
-    params = setting_preset(preset)
-    overrides = {key: _typed(_GEN_TYPES[key], value, f"gen.{key}")
-                 for key, value in config.get("gen", {}).items()}
-    if overrides:
-        params = dataclasses.replace(params, **overrides)
-    return params, preset
 
 
 def _cast(value, kind: type, name: str):
@@ -186,47 +171,9 @@ def _cast(value, kind: type, name: str):
     return out
 
 
-def _pick(args_value, config: dict, section: str, key: str, default, kind: type):
-    """The flag's value, else the config's cast to ``kind``, else the default."""
-    if args_value is not None:
-        return args_value
-    value = config.get(section, {}).get(key)
-    return default if value is None else _cast(value, kind, f"{section}.{key}")
-
-
-def _workers(args, config: dict) -> int:
-    workers = _pick(getattr(args, "workers", None), config, "plan", "workers", None, int)
-    if workers is not None:
-        return workers
-    env = os.environ.get(WORKERS_ENV)
-    try:
-        return int(env) if env else 1  # the variable is text, unlike a JSON setting
-    except ValueError:
-        raise ConfigError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
-
-
-def _imputation_config(config: dict, m_flag: Optional[int]) -> ImputationConfig:
-    """The imputation settings: --m-imputations, else the config's imputation
-    section, else the ImputationConfig defaults. Method and seed are set per
-    run."""
-    values = {k: _typed(_IMPUTATION_TYPES[k], v, f"imputation.{k}")
-              for k, v in config.get("imputation", {}).items() if v is not None}
-    if m_flag is not None:
-        values["m"] = m_flag
-    return ImputationConfig(method=METHODS[0], **values)
-
-
-def _imputation_identity(cfg: ImputationConfig) -> dict:
-    """Every imputation setting, for the manifest identity."""
-    return {k: v for k, v in dataclasses.asdict(cfg).items() if k in _IMPUTATION_KEYS}
-
-
-def _parse_methods(text: Optional[str], config: dict) -> tuple[str, ...]:
-    """--methods, else plan.methods, else every method. A string is split at
-    commas, as the flag is; a config list names one method per entry."""
-    value = text if text is not None else config.get("plan", {}).get("methods")
-    if value is None:
-        return METHODS
+def _parse_methods(value) -> tuple[str, ...]:
+    """The methods a flag's string or a config value names: a string is split
+    at commas; a config list names one method per entry."""
     if isinstance(value, str):
         parts = [p for p in value.split(",") if p.strip()]
     else:
@@ -237,6 +184,30 @@ def _parse_methods(text: Optional[str], config: dict) -> tuple[str, ...]:
     if len(set(methods)) != len(methods):
         raise ConfigError(f"methods must not repeat; got {value!r}")
     return methods
+
+
+def _settings(args) -> tuple[SimPlan, str]:
+    """The command's plan and preset name: each config section's values cast
+    to their fields' types, the flags on top, $TRIALMI_WORKERS under an unset
+    worker count, and the preset's GenParams, ImputationConfig's and
+    SimPlan's defaults beneath."""
+    config, values = _load_config(args.config, args.command), {}
+    for section, kinds in _SETTINGS.items():
+        values[section] = {k: _typed(kinds[k], v, f"{section}.{k}")
+                           for k, v in config.get(section, {}).items()}
+        values[section].update((k, v) for k, v in vars(args).items() if k in kinds and v is not None)
+    gen, imputation, plan = values.values()
+    env = os.environ.get(WORKERS_ENV)
+    if args.command == "simulate" and env and "workers" not in plan:
+        try:
+            plan["workers"] = int(env)  # the variable is text, unlike a JSON setting
+        except ValueError:
+            raise ConfigError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
+    if "methods" in plan:
+        plan["methods"] = _parse_methods(plan["methods"])
+    preset = plan.pop("preset", "setting1")
+    return SimPlan(params=dataclasses.replace(setting_preset(preset), **gen),
+                   imputation=ImputationConfig(method=METHODS[0], **imputation), **plan), preset
 
 
 # ---------------------------------------------------------------------------
@@ -369,26 +340,14 @@ def read_dataset_csv(path: Path) -> TrialDataset:
 
 
 def cmd_simulate(args) -> int:
-    config = _load_config(args.config, args.command)
-    params, preset = _resolve_gen_params(config, args.preset)
-    methods = _parse_methods(args.methods, config)
-    plan = SimPlan(
-        params=params,
-        n_replicates=_pick(args.reps, config, "plan", "n_replicates", 100, int),
-        methods=methods,
-        imputation=_imputation_config(config, args.m_imputations),
-        seed=_pick(args.seed, config, "plan", "seed", 0, int),
-        workers=_workers(args, config),
-        truth_n_datasets=_pick(args.truth_datasets, config, "plan", "truth_n_datasets", 20000, int),
-        ci_level=_pick(args.level, config, "plan", "ci_level", 0.95, float),
-    )
+    plan, preset = _settings(args)
     table = run_plan(plan)
 
-    identity = {"command": "simulate", "preset": preset, "params": _params_dict(params),
+    identity = {"command": "simulate", "preset": preset, "params": _params_dict(plan.params),
                 "plan": {"n_replicates": plan.n_replicates, "methods": list(plan.methods),
                          "seed": plan.seed, "truth_n_datasets": plan.truth_n_datasets,
                          "ci_level": plan.ci_level,
-                         "imputation": _imputation_identity(plan.imputation)}}
+                         "imputation": {k: getattr(plan.imputation, k) for k in _SETTINGS["imputation"]}}}
     mid = _write_manifest(args.out, identity, {"workers": plan.workers,
                                               "n_excluded": table.n_excluded})
     _write_csv(args.out / "metrics.csv", mid, ["method", "estimand", "BIAS", "ESE", "ASE", "CP"],
@@ -405,13 +364,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_truth(args) -> int:
-    config = _load_config(args.config, args.command)
-    params, preset = _resolve_gen_params(config, args.preset)
-    seed = _pick(args.seed, config, "plan", "seed", 0, int)
-    n_datasets = _pick(args.n_datasets, config, "plan", "truth_n_datasets", 20000, int)
-    truth = generate_truth(params, n_datasets, seed)
-    identity = {"command": "truth", "preset": preset, "params": _params_dict(params),
-                "seed": seed, "n_datasets": n_datasets}
+    plan, preset = _settings(args)
+    truth = generate_truth(plan.params, plan.truth_n_datasets, plan.seed)
+    identity = {"command": "truth", "preset": preset, "params": _params_dict(plan.params),
+                "seed": plan.seed, "n_datasets": plan.truth_n_datasets}
     mid = _write_manifest(args.out, identity, {})
     _write_truth_csv(args.out, mid, truth)
     print(f"wrote truth.csv to {args.out}")
@@ -419,27 +375,22 @@ def cmd_truth(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    config = _load_config(args.config, args.command)
-    methods = _parse_methods(args.methods, config)
-    seed = _pick(args.seed, config, "plan", "seed", 0, int)
-    level = _pick(args.level, config, "plan", "ci_level", 0.95, float)
-    if not 0 < level < 1:
-        raise ConfigError(f"ci_level must lie in (0, 1), got {level!r}")
-    imputation = _imputation_config(config, args.m_imputations)
+    plan, _ = _settings(args)
     dataset = read_dataset_csv(args.dataset)
     violations = validate_dataset(dataset)
     if violations:
         for v in violations:
             print(f"error: subject {v.subject_id}: {v.message}", file=sys.stderr)
         return 1
-    pooled, events = analyze_dataset(dataset, dataclasses.replace(imputation, seed=seed), methods, level)
+    pooled, events = analyze_dataset(dataset, dataclasses.replace(plan.imputation, seed=plan.seed),
+                                     plan.methods, plan.ci_level)
     rows = [[method, estimand, _fmt(p.point), _fmt(math.sqrt(p.total)), _fmt(p.ci_low), _fmt(p.ci_high)]
             for method, by_estimand in pooled.items() for estimand, p in by_estimand.items()]
 
     identity = {"command": "analyze",
                 "dataset_sha256": hashlib.sha256(args.dataset.read_bytes()).hexdigest(),
-                "methods": list(methods), "seed": seed, "ci_level": level,
-                "imputation": _imputation_identity(imputation)}
+                "methods": list(plan.methods), "seed": plan.seed, "ci_level": plan.ci_level,
+                "imputation": {k: getattr(plan.imputation, k) for k in _SETTINGS["imputation"]}}
     mid = _write_manifest(args.out, identity, {"fallback_events": events})
     _write_csv(args.out / "estimates.csv", mid,
                ["method", "estimand", "estimate", "se", "ci_low", "ci_high"], rows)

@@ -239,10 +239,10 @@ class Draws:
             # Short: below the threshold, or no more donors than design columns
             # (intercept, baseline, conditioning visit), which leaves no residual df.
             pooled = rows.size < cfg.min_donor_pool or rows.size <= 2 + (visit >= 0)
+            at_visit = f" (conditioning visit {visit})" if visit >= 0 else ""
             if pooled:
                 rows = usable
-                event = (f"{_DONOR_KIND[purpose]} donors pooled across arms"
-                         + (f" (conditioning visit {visit})" if visit >= 0 else ""))
+                event = f"{_DONOR_KIND[purpose]} donors pooled across arms{at_visit}"
                 for method in self.fallback if in_group[:own.size].any() else s52_users:
                     self.fallback[method].add(event)
             key = (_ARM_POOLED if pooled else arm, visit)
@@ -251,7 +251,8 @@ class Draws:
                     model = fit_donor_model(_build_design(data, rows, visit, pooled), endpoints[rows],
                                             min_donor_pool=cfg.min_donor_pool)
                 except ImputationError as exc:
-                    raise ImputationError(f"donor pool exhausted even after pooling arms: {exc}") from exc
+                    raise ImputationError("donor pool exhausted even after pooling arms: "
+                                          f"{_DONOR_KIND[purpose]} donors{at_visit}: {exc}") from exc
                 # D's stream keys carry no visit.
                 rng = substream(cfg.seed, IMPUTE_NS, replicate, purpose,
                                 *(key[:1] if purpose == PUR_POOL_PARAMS else (key[0], visit + 1)))

@@ -33,7 +33,7 @@ class SimPlan:
     ones it carries."""
 
     params: Union[GenParams, str]
-    n_replicates: int
+    n_replicates: int = 100
     methods: tuple[str, ...] = METHODS
     imputation: ImputationConfig = ImputationConfig(method=METHODS[0])
     seed: int = 0

@@ -1,4 +1,5 @@
 """Command-line tests: the settings a run uses, rejects and records."""
+import argparse
 import csv
 import dataclasses
 import io
@@ -20,6 +21,7 @@ from trialmi.core import ADMIN_WITHDRAWAL, validate_dataset
 from trialmi.datagen import generate_trial
 from trialmi.errors import ValidationError
 from trialmi.imputation import ImputationConfig
+from trialmi.simharness import SimPlan
 
 from .helpers import completer, count_calls, load_trialgen, make_dataset, make_subject, write_csv
 from .strategies import invalid_records, valid_records
@@ -49,14 +51,68 @@ def data_rows(path):
     return [r for r in csv.reader(path.read_text().splitlines()) if not r[0].startswith("#")]
 
 
-def test_analyze_takes_m_from_config(trial_csv, tmp_path):
-    out, manifest = run(tmp_path, "config", "analyze", trial_csv, config={"imputation": {"m": 5}})
-    assert manifest["identity"]["imputation"]["m"] == 5
-    flag, _ = run(tmp_path, "flag", "analyze", trial_csv, "--m-imputations", 5)
-    assert data_rows(out / "estimates.csv") == data_rows(flag / "estimates.csv")
-    _, manifest = run(tmp_path, "both", "analyze", trial_csv, "--m-imputations", 7,
-                      config={"imputation": {"m": 5}})
-    assert manifest["identity"]["imputation"]["m"] == 7
+def outputs(out):
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def subparser(command):
+    parser = cli._build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[command]
+
+
+def flags_of(command):
+    """Each dest a command's options set, with its flag."""
+    return {a.dest: a.option_strings[0] for a in subparser(command)._actions if a.option_strings}
+
+
+#: Per command, the config of a small run, for the settings a test leaves alone.
+SMALL = {"simulate": {"gen": {"n_per_arm": 100}, "imputation": {"m": 4, "min_donor_pool": 6},
+                      "plan": {"n_replicates": 2, "truth_n_datasets": 50}},
+         "truth": {"gen": {"n_per_arm": 10}},
+         "analyze": {"imputation": {"m": 4}}}
+
+
+def command_argv(command, trial_csv):
+    return (command, trial_csv) if command == "analyze" else (command,)
+
+
+def with_key(config, key, value):
+    section, name = key.split(".")
+    return {**config, section: {**config.get(section, {}), name: value}}
+
+
+#: (command, flag, the config key it sets, a value, another value for the config to lose to)
+FLAG_KEYS = [
+    ("simulate", "--preset", "plan.preset", "setting2", "setting1"),
+    ("simulate", "--seed", "plan.seed", 3, 4),
+    ("simulate", "--reps", "plan.n_replicates", 3, 2),
+    ("simulate", "--methods", "plan.methods", "A,C", "B"),
+    ("simulate", "--m-imputations", "imputation.m", 5, 6),
+    ("simulate", "--workers", "plan.workers", 2, 1),
+    ("simulate", "--truth-datasets", "plan.truth_n_datasets", 60, 70),
+    ("simulate", "--level", "plan.ci_level", 0.9, 0.8),
+    ("truth", "--preset", "plan.preset", "setting2", "setting1"),
+    ("truth", "--seed", "plan.seed", 3, 4),
+    ("truth", "--n-datasets", "plan.truth_n_datasets", 60, 70),
+    ("analyze", "--methods", "plan.methods", "A,C", "B"),
+    ("analyze", "--m-imputations", "imputation.m", 5, 6),
+    ("analyze", "--seed", "plan.seed", 3, 4),
+    ("analyze", "--level", "plan.ci_level", 0.9, 0.8),
+]
+
+
+@pytest.mark.parametrize("command, flag, key, value, other", FLAG_KEYS,
+                         ids=[f"{command}{flag}" for command, flag, *_ in FLAG_KEYS])
+def test_flag_and_config_key_agree(trial_csv, tmp_path, monkeypatch, command, flag, key, value, other):
+    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+    argv, config = command_argv(command, trial_csv), SMALL[command]
+    assert flags_of(command)[key.split(".")[1]] == flag
+    _, small_manifest = run(tmp_path, "small", *argv, config=config)
+    by_flag, flag_manifest = run(tmp_path, "flag", *argv, flag, value, config=config)
+    by_config, config_manifest = run(tmp_path, "config", *argv, config=with_key(config, key, value))
+    both, both_manifest = run(tmp_path, "both", *argv, flag, value, config=with_key(config, key, other))
+    assert flag_manifest == config_manifest == both_manifest != small_manifest
+    assert outputs(by_flag) == outputs(by_config) == outputs(both)
 
 
 @pytest.mark.parametrize("command", ["analyze", "simulate"])
@@ -202,28 +258,45 @@ def test_analyze_reports_every_violation(tmp_path, capsys, invalid):
     assert not (tmp_path / "out").exists()
 
 
-def test_analyze_takes_plan_settings_from_config(trial_csv, tmp_path):
-    plan = {"methods": ["A"], "seed": 7, "ci_level": 0.9}
-    out, manifest = run(tmp_path, "config", "analyze", trial_csv, "--m-imputations", 4,
-                        config={"plan": plan})
-    identity = manifest["identity"]
-    assert (identity["methods"], identity["seed"], identity["ci_level"]) == (["A"], 7, 0.9)
-    flag, flag_manifest = run(tmp_path, "flag", "analyze", trial_csv, "--m-imputations", 4,
-                              "--methods", "A", "--seed", 7, "--level", 0.9)
-    assert data_rows(out / "estimates.csv") == data_rows(flag / "estimates.csv")
-    assert manifest["manifest_id"] == flag_manifest["manifest_id"]
-    _, manifest = run(tmp_path, "both", "analyze", trial_csv, "--m-imputations", 4,
-                      "--methods", "B", "--seed", 8, "--level", 0.8, config={"plan": plan})
-    identity = manifest["identity"]
-    assert (identity["methods"], identity["seed"], identity["ci_level"]) == (["B"], 8, 0.8)
-
-
-def test_analyze_defaults_without_config(trial_csv, tmp_path):
-    out, manifest = run(tmp_path, "default", "analyze", trial_csv, "--m-imputations", 4)
-    explicit, explicit_manifest = run(tmp_path, "explicit", "analyze", trial_csv, "--m-imputations", 4,
-                                      "--methods", "A,B,C,D", "--seed", 0, "--level", 0.95)
+@pytest.mark.parametrize("command", ["simulate", "truth", "analyze"])
+def test_unset_plan_settings_take_simplan_defaults(trial_csv, tmp_path, monkeypatch, command):
+    # The small run leaves every plan setting unset but simulate's replicate and
+    # truth counts; the explicit run passes each of the others at SimPlan's
+    # default (the preset is not a SimPlan field).
+    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+    argv, config = command_argv(command, trial_csv), SMALL[command]
+    flags = flags_of(command)
+    defaults = {f.name: f.default for f in dataclasses.fields(SimPlan)}
+    explicit = ()
+    for key in sorted(set(cli._SETTINGS["plan"]) & set(flags) - {"preset"} - set(config.get("plan", {}))):
+        explicit += (flags[key], ",".join(defaults[key]) if key == "methods" else defaults[key])
+    assert explicit
+    out, manifest = run(tmp_path, "default", *argv, config=config)
+    explicit_out, explicit_manifest = run(tmp_path, "explicit", *argv, *explicit, config=config)
     assert manifest == explicit_manifest
-    assert (out / "estimates.csv").read_text() == (explicit / "estimates.csv").read_text()
+    assert outputs(out) == outputs(explicit_out)
+
+
+def test_every_flag_sets_a_config_key():
+    # A flag whose dest is no config key would bypass the one path from flags
+    # and config to the settings.
+    keys = set().union(*cli._SETTINGS.values())
+    for command in ("simulate", "analyze", "truth"):
+        dests = {a.dest for a in subparser(command)._actions} - {"help", "command", "config", "out", "dataset"}
+        assert dests and dests <= keys, command
+
+
+@pytest.mark.parametrize("form", ["flag", "config"])
+@pytest.mark.parametrize("command", ["simulate", "truth", "analyze"])
+def test_negative_seed_is_an_input_error(trial_csv, tmp_path, capsys, command, form):
+    argv = command_argv(command, trial_csv)
+    if form == "flag":
+        assert cli.main([str(a) for a in argv] + ["--seed", "-2", "--out", str(tmp_path / "bad")]) == 1
+        err = capsys.readouterr().err
+    else:
+        err = rejects(tmp_path, capsys, {"plan": {"seed": -2}}, *argv)
+    assert err == "error: seed must be a non-negative integer, got -2\n"
+    assert not (tmp_path / "bad").exists()
 
 
 def test_analyze_records_each_methods_fallback_events(trial_csv, tmp_path):
@@ -284,7 +357,7 @@ def test_simulate_accepts_every_config_key(tmp_path):
               "plan": {"preset": "setting2", "n_replicates": 2, "methods": ["A", "C"], "seed": 3,
                        "workers": 1, "truth_n_datasets": 50, "ci_level": 0.9},
               "imputation": {**CHANGED, "m": 4, "min_donor_pool": 6}}
-    assert set(config["plan"]) == cli._PLAN_KEYS and set(config["imputation"]) == SETTINGS
+    assert set(config["plan"]) == set(cli._SETTINGS["plan"]) and set(config["imputation"]) == SETTINGS
     _, manifest = run(tmp_path, "all", "simulate", config=config)
     identity = manifest["identity"]
     assert (identity["preset"], identity["params"]["n_per_arm"]) == ("setting2", 100)
@@ -370,6 +443,8 @@ def test_out_of_range_level_is_rejected_before_any_work(trial_csv, tmp_path, cap
     ("truth", {"gen": {"grid": [12, 24, 36, math.inf]}}, "gen.grid[3]"),
     ("truth", {"gen": {"mu_x": -math.inf}}, "gen.mu_x"),
     ("analyze", {"plan": {"ci_level": math.nan}}, "plan.ci_level"),
+    ("truth", {"plan": {"seed": None}}, "plan.seed"),
+    ("analyze", {"imputation": {"m": None}}, "imputation.m"),
 ])
 def test_non_numeric_setting_names_the_setting(trial_csv, tmp_path, capsys, command, config, name):
     argv = (command, trial_csv) if command == "analyze" else (command,)

@@ -231,11 +231,11 @@ class TestWrappers:
         trt_s4 = make_subject([-0.1, None, None, None], disc=12.0, arm=1)
         s1 = [completer(-1.0, arm=1, baseline=8 + 0.1 * j) for j in range(6)]
         data = make_dataset(s1 + [trt_s4])
-        with pytest.raises(ImputationError, match="pooling arms"):
+        with pytest.raises(ImputationError, match="pooling arms: retrieved-dropout donors: "):
             impute_matrix(data, cfg("B", m=5, min_donor_pool=4))
         # Method D's endpoint donors, the three subjects not withdrawn, fail alike.
         withdrawn = make_subject([-0.4, None, None, None], withdraw=20.0, arm=1)
-        with pytest.raises(ImputationError, match="pooling arms"):
+        with pytest.raises(ImputationError, match="pooling arms: endpoint donors: "):
             impute_matrix(make_dataset(s1[:3] + [withdrawn]), cfg("D", m=5, min_donor_pool=4))
 
     @pytest.mark.parametrize("conditioning, n_adherers", [("baseline-only", 2), ("monotone-sequential", 3)])
