@@ -21,9 +21,13 @@ and, in a response-dependent arm with a shifted effect, the subject effects,
 visit noise and uniforms that ``_first_disc_visit`` reads. Every other part is
 drawn once per dataset with the law of its average: a normal for the mean
 noise, and a multinomial count of subjects by first discontinuation visit.
+The truth's batches share one workspace: each per-subject array is drawn and
+computed in place, in memory the first batch paged in, so no batch allocates,
+frees and faults back in its own arrays (about 9 MB for setting1's 500 x 200).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -154,16 +158,20 @@ class TrueValues:
     n_datasets: int
 
 
-def draw_baseline(rng: np.random.Generator, params: GenParams, size):
-    """Baseline outcome levels (an array of ``size``) from the location-scaled
-    Beta(a, b) law: ``rng.beta`` unless b is whole and b <= 4. Then it is exactly
+def draw_baseline(rng: np.random.Generator, params: GenParams, size=None, out=None):
+    """Baseline outcome levels (an array of ``size``, or written into the
+    C-contiguous float array ``out``) from the location-scaled Beta(a, b) law:
+    ``rng.beta`` unless b is whole and b <= 4. Then it is exactly
     prod_{j<b} Beta(a + j, 1) = exp(-sum_j E_j / (a + j)) (Devroye 1986, IX.4), each
     standard exponential E_j drawn over the whole array in turn (E0, E1 for (1.5, 2))
     in blocks, the stream of one draw, so that only the output array is alive."""
     a, b = params.baseline_beta_a, params.baseline_beta_b
+    x = np.empty(size) if out is None else out
     if b % 1 or b > 4:
-        return params.baseline_loc + params.baseline_scale * rng.beta(a, b, size=size)
-    x = np.zeros(size)
+        np.multiply(rng.beta(a, b, size=x.shape), params.baseline_scale, out=x)
+        x += params.baseline_loc
+        return x
+    x.fill(0.0)
     flat, t = x.reshape(-1), np.empty(8192)  # one block of a term: it bounds the scratch memory, not the stream
     for j in range(int(b)):
         for lo in range(0, flat.size, t.size):
@@ -176,7 +184,8 @@ def draw_baseline(rng: np.random.Generator, params: GenParams, size):
 
 
 def _first_disc_visit(u: np.ndarray, level: np.ndarray, eps: np.ndarray, decay: np.ndarray,
-                      arm: int, params: GenParams) -> np.ndarray:
+                      arm: int, params: GenParams, *, first: Optional[np.ndarray] = None,
+                      prob: Optional[np.ndarray] = None, mask: Optional[np.ndarray] = None) -> np.ndarray:
     """Index of each subject's first treatment-discontinuation visit; K means never.
 
     At visit k a subject still on treatment stops, right after the previous
@@ -186,10 +195,14 @@ def _first_disc_visit(u: np.ndarray, level: np.ndarray, eps: np.ndarray, decay: 
     alpha1 = 0 the probability is one scalar per visit. ``level`` has one
     value per subject; ``u`` and ``eps`` lead with the visit axis. The
     endpoint noise eps[K-1] is never read, so ``eps`` may stop before it.
+    ``first`` (the result, integers), ``prob`` (floats) and ``mask`` (bools),
+    each shaped like ``level``, are written in place when given.
     """
     c = params.c_visit(arm)
-    first = np.full(level.shape, len(decay))
-    prob = np.empty(level.shape)
+    first = np.empty(level.shape, np.intp) if first is None else first
+    prob = np.empty(level.shape) if prob is None else prob
+    mask = np.empty(level.shape, bool) if mask is None else mask
+    first.fill(len(decay))
     # A visit's stop test ignores earlier stops, so going last to first the earliest wins.
     for k in reversed(range(len(decay))):
         if k and params.alpha1 != 0:
@@ -197,10 +210,19 @@ def _first_disc_visit(u: np.ndarray, level: np.ndarray, eps: np.ndarray, decay: 
             prob += eps[k - 1]
             prob *= params.alpha1
             prob += params.alpha0
-            first[u[k] < _expit(prob, out=prob) + c[k]] = k
+            _expit(prob, out=prob)
+            prob += c[k]
+            np.less(u[k], prob, out=mask)
         else:
-            first[u[k] < _expit(params.alpha0) + c[k]] = k
+            np.less(u[k], _expit(params.alpha0) + c[k], out=mask)
+        np.copyto(first, k, where=mask)
     return first
+
+
+@functools.cache
+def _subject_ids(count: int) -> tuple[str, ...]:
+    """S0001, S0002, ...: one immutable tuple per count, shared by every trial of that size."""
+    return tuple(f"S{j:04d}" for j in range(1, count + 1))
 
 
 def generate_trial(params: Union[GenParams, str], seed: int, *, replicate: int = 0) -> TrialDataset:
@@ -252,18 +274,31 @@ def generate_trial(params: Union[GenParams, str], seed: int, *, replicate: int =
         y[missing] = np.nan
         parts.append((x, y, np.where(t_a < np.fmin(v, d), t_a, np.nan), v))
     x, y, disc, withdraw = map(np.concatenate, zip(*parts))
-    return TrialDataset(grid=p.grid, ids=tuple(f"S{j:04d}" for j in range(1, 2 * n + 1)),
+    return TrialDataset(grid=p.grid, ids=_subject_ids(2 * n),
                         arm=np.repeat([0, 1], n), baseline=x, y=y, disc=disc, withdraw=withdraw,
                         withdraw_type=np.where(np.isnan(withdraw), NO_TYPE, ADMIN_WITHDRAWAL))
 
 
-def _complete_endpoint_means(rng: np.random.Generator, params: GenParams, n_datasets: int):
+def _take(work: dict, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """The leading values of the flat array ``work[name]`` as a C-contiguous
+    array of ``shape``, making that array when it is missing or too small. A
+    truth call's batches share one ``work``, the largest batch first, so every
+    batch after the first writes into memory already paged in."""
+    size = math.prod(shape)
+    if name not in work or work[name].size < size:
+        work[name] = np.empty(size, dtype)
+    return work[name][:size].reshape(shape)
+
+
+def _complete_endpoint_means(rng: np.random.Generator, params: GenParams, n_datasets: int,
+                             work: Optional[dict] = None):
     """Complete-data endpoint means of b = ``n_datasets`` datasets, one array per arm.
 
     Used only by the truth oracle; no withdrawal or missingness. A draw that
     enters the mean only through its per-dataset average is replaced by one
-    draw of that average with the same law. Each arm, control first, draws
-    (the truth's stream layout):
+    draw of that average with the same law. Per-subject arrays are drawn and
+    computed in place in ``work``'s arrays (see ``_take``). Each arm, control
+    first, draws (the truth's stream layout):
 
     - baselines per subject: E0, E1, (b, n) each, for the presets;
     - when discontinuation does not move the mean (dtheta = 0) or does not
@@ -276,8 +311,10 @@ def _complete_endpoint_means(rng: np.random.Generator, params: GenParams, n_data
       endpoint noise, then one normal (b) for the endpoint noise's mean,
       N(0, sigma_e2 / n).
     """
+    work = {} if work is None else work
     times = np.asarray(params.grid.times)
     n, visits = params.n_per_arm, len(times)
+    shape = (n_datasets, n)
     decay = 1.0 - np.exp(-params.kappa * times)
     # Washout fraction at the endpoint by first-discontinuation visit; index K is never.
     disc_week = np.concatenate([[0.0], times[:-1]])
@@ -285,7 +322,7 @@ def _complete_endpoint_means(rng: np.random.Generator, params: GenParams, n_data
     means = {}
     for arm in (0, 1):
         slope = params.beta0 + arm * params.beta1
-        x = draw_baseline(rng, params, size=(n_datasets, n))
+        x = draw_baseline(rng, params, out=_take(work, "x", shape))
         mean = (params.theta(arm) + slope * (x.mean(axis=1) - params.baseline_mean)) * decay[-1]
         dtheta = params.theta(arm) - params.theta0
         if dtheta == 0 or params.alpha1 == 0:
@@ -299,12 +336,27 @@ def _complete_endpoint_means(rng: np.random.Generator, params: GenParams, n_data
                 counts = rng.multinomial(n, cells, size=n_datasets)
                 mean -= dtheta * decay[-1] * (counts @ frac_at) / n
         else:
-            s = rng.normal(0.0, math.sqrt(params.sigma_s2), size=(n_datasets, n))
-            eps = rng.normal(0.0, math.sqrt(params.sigma_e2), size=(visits - 1, n_datasets, n))
-            u = rng.random((visits, n_datasets, n))
-            level = params.theta(arm) + slope * (x - params.baseline_mean) + s
-            frac = frac_at[_first_disc_visit(u, level, eps, decay, arm, params)]
-            mean += (s * decay[-1] - dtheta * decay[-1] * frac).mean(axis=1)
+            # normal(0, sd) is sd * standard_normal, value for value.
+            s = rng.standard_normal(out=_take(work, "s", shape))
+            s *= math.sqrt(params.sigma_s2)
+            eps = rng.standard_normal(out=_take(work, "eps", (visits - 1,) + shape))
+            eps *= math.sqrt(params.sigma_e2)
+            u = rng.random(out=_take(work, "u", (visits,) + shape))
+            # level = theta + slope * (x - mean baseline) + s, over x's spent values.
+            level = np.subtract(x, params.baseline_mean, out=x)
+            level *= slope
+            level += params.theta(arm)
+            level += s
+            first = _first_disc_visit(u, level, eps, decay, arm, params,
+                                      first=_take(work, "first", shape, np.intp),
+                                      prob=_take(work, "prob", shape), mask=_take(work, "mask", shape, bool))
+            # (s d_K - dtheta d_K frac) averaged per dataset, over s and the spent prob; first
+            # lies in 0..K, and "clip" writes out directly where "raise" would buffer it.
+            frac = np.take(frac_at, first, out=_take(work, "prob", shape), mode="clip")
+            frac *= dtheta * decay[-1]
+            s *= decay[-1]
+            s -= frac
+            mean += s.mean(axis=1)
             mean += math.sqrt(params.sigma_e2 / n) * rng.standard_normal(n_datasets)
         means[arm] = mean
     return means[0], means[1]
@@ -312,15 +364,16 @@ def _complete_endpoint_means(rng: np.random.Generator, params: GenParams, n_data
 
 def generate_truth(params: Union[GenParams, str], n_datasets: int, seed: int) -> TrueValues:
     """Average complete-data estimates over ``n_datasets`` simulated trials, drawn
-    ``TRUTH_SUBJECTS // n_per_arm`` (at least one) at a time so memory stays bounded."""
+    ``TRUTH_SUBJECTS // n_per_arm`` (at least one) at a time so memory stays
+    bounded, every batch in one workspace."""
     p = resolve_params(params)
     if n_datasets < 1:
         raise ConfigError("n_datasets must be >= 1")
     rng = substream(seed, TRUTH_NS)
-    batch = max(1, TRUTH_SUBJECTS // p.n_per_arm)
+    batch, work = max(1, TRUTH_SUBJECTS // p.n_per_arm), {}
     sum0 = sum1 = 0.0
     for done in range(0, n_datasets, batch):
-        m0, m1 = _complete_endpoint_means(rng, p, min(batch, n_datasets - done))
+        m0, m1 = _complete_endpoint_means(rng, p, min(batch, n_datasets - done), work)
         sum0 += float(m0.sum())
         sum1 += float(m1.sum())
     mean0, mean1 = sum0 / n_datasets, sum1 / n_datasets

@@ -53,6 +53,8 @@ class SimPlan:
             raise ConfigError("methods must not repeat")
         if not 0 < self.ci_level < 1:
             raise ConfigError(f"ci_level must lie in (0, 1), got {self.ci_level!r}")
+        if self.truth_n_datasets < 1:
+            raise ConfigError(f"truth_n_datasets must be >= 1, got {self.truth_n_datasets!r}")
 
 
 @dataclass(frozen=True)

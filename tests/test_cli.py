@@ -299,6 +299,20 @@ def test_negative_seed_is_an_input_error(trial_csv, tmp_path, capsys, command, f
     assert not (tmp_path / "bad").exists()
 
 
+@pytest.mark.parametrize("form", ["flag", "config"])
+@pytest.mark.parametrize("command", ["simulate", "truth"])
+def test_zero_truth_datasets_is_an_input_error(tmp_path, capsys, command, form):
+    # The plan rejects the count, naming the key its flag and config set.
+    if form == "flag":
+        flag = "--truth-datasets" if command == "simulate" else "--n-datasets"
+        assert cli.main([command, flag, "0", "--out", str(tmp_path / "bad")]) == 1
+        err = capsys.readouterr().err
+    else:
+        err = rejects(tmp_path, capsys, {"plan": {"truth_n_datasets": 0}}, command)
+    assert err == "error: truth_n_datasets must be >= 1, got 0\n"
+    assert not (tmp_path / "bad").exists()
+
+
 def test_analyze_records_each_methods_fallback_events(trial_csv, tmp_path):
     # The benchmark generator's trial (seed 2, 150 per arm) has 11 retrieved
     # dropouts in the control arm, below min_donor_pool (12), so every method

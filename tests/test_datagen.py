@@ -133,6 +133,17 @@ class TestBaseline:
             tracemalloc.stop()
         assert peak <= 1.25 * x.nbytes
 
+    @pytest.mark.parametrize("a, b", [(1.5, 2.0), (0.5, 3.0), (1.3, 2.5), (1.5, 5.0)])
+    def test_out_holds_the_allocating_draw(self, a, b):
+        # Inside and outside the product rule; ``out`` is a prefix view of a
+        # larger, dirty buffer, as a truth workspace's last batch is.
+        params = GenParams(baseline_beta_a=a, baseline_beta_b=b)
+        buf = np.full(50_000, np.nan)
+        out = buf[:30_000].reshape(100, 300)
+        assert draw_baseline(rng(9), params, out=out) is out
+        assert np.array_equal(out, draw_baseline(rng(9), params, size=(100, 300)))
+        assert np.isnan(buf[30_000:]).all()
+
     def test_blocks_draw_the_stream_of_one_whole_draw(self):
         # E0 then E1 for (1.5, 2), each over the whole array in turn.
         g = rng(7)
@@ -204,6 +215,11 @@ class TestDiscontinuation:
                 fast = _first_disc_visit(u, level, np.moveaxis(eps, -1, 0), decay, arm, params)
                 slow = reference_first_disc_visit(u, level, eps, decay, arm, params)
                 assert fast.tolist() == slow.tolist()
+                # Dirty scratch arrays give the same visits, in ``first`` itself.
+                first, prob, mask = np.full(shape, -7, np.intp), np.full(shape, np.nan), np.ones(shape, bool)
+                scratch = _first_disc_visit(u, level, np.moveaxis(eps, -1, 0), decay, arm, params,
+                                            first=first, prob=prob, mask=mask)
+                assert scratch is first and np.array_equal(scratch, fast)
                 assert 0 < (fast < visits).sum() < fast.size
 
     def test_certain_at_first_visit(self):
@@ -435,11 +451,15 @@ class TestTruth:
         pytest.param("setting1", 501, 8, id="setting1-501"),
         pytest.param("setting2", 1, 8, id="setting2-1"),
         pytest.param("setting2", 501, 7, id="setting2-501"),
+        pytest.param("setting1", 1001, 9, id="setting1-1001"),
+        pytest.param("setting2", 1001, 9, id="setting2-1001"),
     ])
     def test_bit_identical_to_reference_kernel(self, params, n_datasets, seed):
-        # The reference keeps the kernel's draws and arithmetic order and finds
-        # each first discontinuation visit its own way, so every truth value
-        # is equal, not merely close. 501 datasets cross a batch boundary.
+        # The reference keeps the kernel's draws and arithmetic order, finds
+        # each first discontinuation visit its own way and allocates every
+        # batch afresh, so every truth value is equal, not merely close. 501
+        # datasets cross a batch boundary; 1,001 reuse the workspace in a
+        # second full batch and view its prefix in a partial third.
         assert generate_truth(params, n_datasets, seed) == reference_truth(params, n_datasets, seed)
 
     def test_exact_truth_converges(self):
@@ -452,9 +472,9 @@ class TestTruth:
         # One dataset per batch keeps each batch within its subject budget.
         kernel, sizes = datagen._complete_endpoint_means, []
 
-        def recording(rng, params, n_datasets):
+        def recording(rng, params, n_datasets, work):
             sizes.append(n_datasets)
-            return kernel(rng, params, n_datasets)
+            return kernel(rng, params, n_datasets, work)
         monkeypatch.setattr(datagen, "_complete_endpoint_means", recording)
         params = dataclasses.replace(setting_preset("setting1"), n_per_arm=TRUTH_SUBJECTS + 20_000)
         assert_within_4_mcse(params, 3, seed=5)

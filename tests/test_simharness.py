@@ -12,7 +12,7 @@ from trialmi import core, imputation, simharness
 from trialmi.cli import read_dataset_csv
 from trialmi.core import ScenarioLabel, validate_dataset
 from trialmi.datagen import generate_trial, setting_preset
-from trialmi.errors import ImputationError, SimulationError, TrialMIError
+from trialmi.errors import ConfigError, ImputationError, SimulationError, TrialMIError
 from trialmi.estimation import ESTIMANDS, estimate_matrix
 from trialmi.imputation import METHODS, ImputationConfig
 from trialmi.simharness import SimPlan, analyze_dataset, run_plan
@@ -37,6 +37,12 @@ def fail_replicate(monkeypatch, rep, exc):
             raise exc
         return generate(params, seed, replicate=replicate)
     monkeypatch.setattr(simharness, "generate_trial", failing)
+
+
+@pytest.mark.parametrize("count", [0, -5])
+def test_plan_rejects_a_truth_count_below_one_at_construction(count):
+    with pytest.raises(ConfigError, match=f"^truth_n_datasets must be >= 1, got {count}$"):
+        dataclasses.replace(plan(), truth_n_datasets=count)
 
 
 def test_worker_count_does_not_change_results():
